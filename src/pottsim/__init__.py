@@ -28,7 +28,6 @@ from .dynamics import (
     integrate,
     random_init,
     rhs,
-    trajectory_csv,
 )
 from .solver import (
     AblationMode,

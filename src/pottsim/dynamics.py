@@ -20,7 +20,10 @@ from typing import Optional
 import numpy as np
 
 from .graph_io import Graph
-from .potts import Coloring, PhaseState, TWO_PI, accuracy, lyapunov, quantize
+from .potts import Coloring, PhaseState, TWO_PI, lyapunov, quantize
+
+# Time between trajectory checkpoints (cycles).
+CHECKPOINT_STRIDE = 0.5
 
 
 class IntegrationDivergedError(RuntimeError):
@@ -182,23 +185,19 @@ def integrate(
     params: DynamicsParams,
     schedule: ShilSchedule,
     seed: int = 0,
-    stride: float = 0.5,
-    method: str = "rk4",
 ) -> Trajectory:
-    """Fixed-step integration of the phase dynamics.
+    """Fixed-step RK4 integration of the phase dynamics.
 
-    RK4 by default (explicit Euler available for speed studies); additive
-    noise of std ``noise_amplitude * sqrt(dt)`` per step when enabled, drawn
-    from a stream derived from ``seed`` so runs are reproducible.  Phases are
-    canonicalized to [0, 2*pi) after every step.  Checkpoints are recorded at
-    ``stride`` intervals and at t_max; each carries the instantaneous
-    Lyapunov value, the rounded coloring and the max |dtheta/dt|.
+    Additive noise of std ``noise_amplitude * sqrt(dt)`` per step when
+    enabled, drawn from a stream derived from ``seed`` so runs are
+    reproducible.  Phases are canonicalized to [0, 2*pi) after every step.
+    Checkpoints are recorded every CHECKPOINT_STRIDE cycles and at t_max;
+    each carries the instantaneous Lyapunov value, the rounded coloring and
+    the max |dtheta/dt|.
 
     Raises IntegrationDivergedError if any phase becomes non-finite, which
     signals a step size too large for the configured gains.
     """
-    if method not in ("rk4", "euler"):
-        raise ValueError(f"unknown method {method!r}")
     if len(init) != graph.num_vertices:
         raise ValueError("initial state length does not match graph")
     u, v, w = graph.edge_arrays()
@@ -214,7 +213,7 @@ def integrate(
         return _rhs_core(theta, t, u, v, w, n, kc, ks_now, nph, delta)
 
     steps = int(round(params.t_max / dt))
-    ckpt_every = max(1, int(round(stride / dt)))
+    ckpt_every = max(1, int(round(CHECKPOINT_STRIDE / dt)))
     noise = params.noise_amplitude
     rng = np.random.default_rng([seed, 1]) if noise > 0 else None
     noise_std = noise * np.sqrt(dt)
@@ -237,14 +236,11 @@ def integrate(
         checkpoints = [checkpoint(theta, 0.0)]
         for i in range(steps):
             t = i * dt
-            if method == "rk4":
-                k1 = f(theta, t)
-                k2 = f(theta + 0.5 * dt * k1, t + 0.5 * dt)
-                k3 = f(theta + 0.5 * dt * k2, t + 0.5 * dt)
-                k4 = f(theta + dt * k3, t + dt)
-                theta = theta + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            else:
-                theta = theta + dt * f(theta, t)
+            k1 = f(theta, t)
+            k2 = f(theta + 0.5 * dt * k1, t + 0.5 * dt)
+            k3 = f(theta + 0.5 * dt * k2, t + 0.5 * dt)
+            k4 = f(theta + dt * k3, t + dt)
+            theta = theta + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if rng is not None:
                 theta = theta + rng.normal(0.0, noise_std, n)
             theta %= TWO_PI
@@ -255,7 +251,7 @@ def integrate(
                 )
             if (i + 1) % ckpt_every == 0 or i + 1 == steps:
                 checkpoints.append(checkpoint(theta, t_next))
-    return Trajectory(tuple(checkpoints), stride)
+    return Trajectory(tuple(checkpoints), CHECKPOINT_STRIDE)
 
 
 def detect_convergence(
@@ -278,19 +274,3 @@ def detect_convergence(
             return cps[i].time
     return None
 
-
-def trajectory_csv(trajectory: Trajectory, graph: Graph, include_phases: bool = False) -> str:
-    """CSV dump of a trajectory: time, [phases...], lyapunov, rounded accuracy."""
-    n = graph.num_vertices
-    header = ["time"]
-    if include_phases:
-        header += [f"phase_{i}" for i in range(n)]
-    header += ["lyapunov", "accuracy"]
-    rows = [",".join(header)]
-    for cp in trajectory.checkpoints:
-        cells = [repr(float(cp.time))]
-        if include_phases:
-            cells += [repr(float(x)) for x in cp.state.phases]
-        cells += [repr(float(cp.lyapunov)), repr(accuracy(graph, cp.coloring))]
-        rows.append(",".join(cells))
-    return "\n".join(rows) + "\n"

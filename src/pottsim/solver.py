@@ -28,7 +28,6 @@ from .dynamics import (
 )
 from .graph_io import Graph
 from .potts import (
-    Coloring,
     accuracy,
     delta_energy,
     lattice_deviation,
@@ -98,8 +97,6 @@ def effective_config(
     iterations: int,
     base_seed: int,
     mode: Optional[AblationMode] = None,
-    conv_window: int = CONVERGENCE_WINDOW,
-    conv_eps: float = CONVERGENCE_EPS,
 ) -> dict:
     """Self-describing configuration block embedded in every report."""
     cfg = {
@@ -107,7 +104,7 @@ def effective_config(
         "base_seed": base_seed,
         "dynamics": dataclasses.asdict(params),
         "schedule": dataclasses.asdict(schedule),
-        "convergence": {"window": conv_window, "eps": conv_eps},
+        "convergence": {"window": CONVERGENCE_WINDOW, "eps": CONVERGENCE_EPS},
     }
     if mode is not None:
         cfg["mode"] = mode.value
@@ -129,8 +126,6 @@ def solve_once(
     params: DynamicsParams,
     schedule: ShilSchedule,
     seed: int,
-    conv_window: int = CONVERGENCE_WINDOW,
-    conv_eps: float = CONVERGENCE_EPS,
 ) -> RunRecord:
     """One machine run: random init, integrate, quantize, score."""
     init = random_init(graph.num_vertices, seed)
@@ -142,7 +137,7 @@ def solve_once(
         accuracy=accuracy(graph, coloring),
         delta_energy=delta_energy(graph, coloring),
         vector_energy=vector_energy(graph, final.state),
-        cycles=detect_convergence(traj, conv_window, conv_eps),
+        cycles=detect_convergence(traj, CONVERGENCE_WINDOW, CONVERGENCE_EPS),
     )
 
 
@@ -158,16 +153,16 @@ def _quantized_init_record(graph: Graph, n_phases: int, seed: int) -> RunRecord:
 
 
 def _run_task(args) -> RunRecord:
-    graph, params, schedule, seed, mode, window, eps = args
+    graph, params, schedule, seed, mode = args
     try:
         if mode is AblationMode.NONE:
             return _quantized_init_record(graph, params.n_phases, seed)
-        return solve_once(graph, params, schedule, seed, window, eps)
+        return solve_once(graph, params, schedule, seed)
     except Exception as exc:
         raise type(exc)(f"run with seed {seed} failed: {exc}") from exc
 
 
-def _params_for_mode(params: DynamicsParams, mode: AblationMode) -> DynamicsParams:
+def _params_for_mode(params: DynamicsParams, mode: Optional[AblationMode]) -> DynamicsParams:
     if mode is AblationMode.SYNC_ONLY:
         return dataclasses.replace(params, coupling_gain=0.0)
     if mode is AblationMode.COUPLINGS_ONLY:
@@ -194,27 +189,39 @@ def _aggregate(
     )
 
 
-def _run_batch(
+def _run_batch(task, args: Sequence[tuple], jobs: int) -> list:
+    """Run `task` over `args` serially or on one pool of `jobs` workers.
+
+    Results come back in the order of `args` whatever the worker count, so a
+    report never depends on `--jobs`.  Tasks are dealt out one at a time: a
+    restart takes far longer than its dispatch, and larger chunks leave
+    workers idle at the end of a batch.
+    """
+    if len(args) < 1:
+        raise ValueError("iterations must be >= 1")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    if jobs == 1:
+        return [task(a) for a in args]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(task, args))
+
+
+def _solve(
     graph: Graph,
     params: DynamicsParams,
     schedule: ShilSchedule,
+    mode: Optional[AblationMode],
     iterations: int,
     base_seed: int,
-    mode: AblationMode,
+    benchmark: str,
     jobs: int,
-    conv_window: int,
-    conv_eps: float,
-) -> list[RunRecord]:
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    tasks = [
-        (graph, params, schedule, base_seed + i, mode, conv_window, conv_eps)
-        for i in range(iterations)
-    ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_run_task, tasks, chunksize=max(1, iterations // (4 * jobs))))
-    return [_run_task(t) for t in tasks]
+) -> SolveReport:
+    run_params = _params_for_mode(params, mode)
+    tasks = [(graph, run_params, schedule, base_seed + i, mode) for i in range(iterations)]
+    records = _run_batch(_run_task, tasks, jobs)
+    cfg = effective_config(params, schedule, iterations, base_seed, mode=mode)
+    return _aggregate(benchmark, cfg, records)
 
 
 def solve_multi(
@@ -225,17 +232,9 @@ def solve_multi(
     base_seed: int,
     benchmark: str = "",
     jobs: int = 1,
-    conv_window: int = CONVERGENCE_WINDOW,
-    conv_eps: float = CONVERGENCE_EPS,
 ) -> SolveReport:
     """Run `iterations` independent restarts (seeds base_seed..+iterations-1)."""
-    records = _run_batch(
-        graph, params, schedule, iterations, base_seed,
-        AblationMode.FULL, jobs, conv_window, conv_eps,
-    )
-    cfg = effective_config(params, schedule, iterations, base_seed,
-                           conv_window=conv_window, conv_eps=conv_eps)
-    return _aggregate(benchmark, cfg, records)
+    return _solve(graph, params, schedule, None, iterations, base_seed, benchmark, jobs)
 
 
 def ablate(
@@ -247,8 +246,6 @@ def ablate(
     base_seed: int,
     benchmark: str = "",
     jobs: int = 1,
-    conv_window: int = CONVERGENCE_WINDOW,
-    conv_eps: float = CONVERGENCE_EPS,
 ) -> SolveReport:
     """solve_multi with one subsystem disabled.
 
@@ -256,31 +253,12 @@ def ablate(
     (the final continuous state is still rounded), none skips the dynamics
     entirely and scores the quantized random initial state.
     """
-    mode = AblationMode(mode)
-    records = _run_batch(
-        graph, _params_for_mode(params, mode), schedule, iterations, base_seed,
-        mode, jobs, conv_window, conv_eps,
-    )
-    cfg = effective_config(params, schedule, iterations, base_seed, mode=mode,
-                           conv_window=conv_window, conv_eps=conv_eps)
-    return _aggregate(benchmark, cfg, records)
+    return _solve(graph, params, schedule, AblationMode(mode), iterations, base_seed, benchmark, jobs)
 
 
-def detune_protocol_params(
-    n_phases: int = 3,
-    coupling_gain: float = 1.0,
-    shil_gain_max: float = DETUNE_SHIL_GAIN,
-    dt: float = DETUNE_DT,
-    t_max: float = DETUNE_T_MAX,
-) -> DynamicsParams:
+def detune_protocol_params() -> DynamicsParams:
     """Default operating point for lattice-deviation (detuning) sweeps."""
-    return DynamicsParams(
-        coupling_gain=coupling_gain,
-        shil_gain_max=shil_gain_max,
-        n_phases=n_phases,
-        dt=dt,
-        t_max=t_max,
-    )
+    return DynamicsParams(shil_gain_max=DETUNE_SHIL_GAIN, dt=DETUNE_DT, t_max=DETUNE_T_MAX)
 
 
 def _detune_task(args) -> float:
@@ -311,17 +289,16 @@ def detune_sweep(
     """
     if len(deltas) == 0:
         raise ValueError("need at least one detuning value")
-    out = []
-    for delta in deltas:
-        p = dataclasses.replace(params, detuning=float(delta))
-        tasks = [(graph, p, schedule, base_seed + i) for i in range(iterations)]
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                devs = list(pool.map(_detune_task, tasks))
-        else:
-            devs = [_detune_task(t) for t in tasks]
-        out.append((float(delta), float(np.degrees(np.mean(devs)))))
-    return out
+    tasks = [
+        (graph, dataclasses.replace(params, detuning=float(delta)), schedule, base_seed + i)
+        for delta in deltas
+        for i in range(iterations)
+    ]
+    devs = _run_batch(_detune_task, tasks, jobs)
+    return [
+        (float(delta), float(np.degrees(np.mean(devs[k * iterations:(k + 1) * iterations]))))
+        for k, delta in enumerate(deltas)
+    ]
 
 
 def bootstrap_mean_diff(

@@ -60,10 +60,13 @@ class TestSolveCommand:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_jobs_do_not_change_output(self, tiny_col, tmp_path):
-        out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-        main(["solve", str(tiny_col), *FAST_FLAGS, "--jobs", "1", "--out", str(out1)])
-        main(["solve", str(tiny_col), *FAST_FLAGS, "--jobs", "2", "--out", str(out2)])
-        assert out1.read_bytes() == out2.read_bytes()
+        # detune runs all deltas on one pool and regroups the results by delta
+        for command, extra in (("solve", []), ("detune", ["--deltas", "0,30,-300"])):
+            out1, out2 = tmp_path / f"{command}1.out", tmp_path / f"{command}2.out"
+            argv = [command, str(tiny_col), *FAST_FLAGS, *extra]
+            assert main([*argv, "--jobs", "1", "--out", str(out1)]) == 0
+            assert main([*argv, "--jobs", "2", "--out", str(out2)]) == 0
+            assert out1.read_bytes() == out2.read_bytes()
 
     def test_report_regenerates_from_embedded_config(self, tiny_col, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -198,6 +201,14 @@ class TestErrors:
         rc = main(["solve", str(tiny_col), "--dt", "-0.5", "--out", str(out)])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_rejected(self, tiny_col, tmp_path, capsys, jobs):
+        out = tmp_path / "r.json"
+        rc = main(["solve", str(tiny_col), "--iters", "1", "--jobs", jobs, "--out", str(out)])
+        assert rc == 1
+        assert "jobs must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_malformed_input_file(self, tmp_path, capsys):

@@ -23,7 +23,6 @@ from pottsim import (
     quantize,
     random_init,
     rhs,
-    trajectory_csv,
 )
 
 from conftest import random_colorable_graph
@@ -246,13 +245,6 @@ class TestIntegrate:
         with pytest.raises(IntegrationDivergedError, match="t="):
             integrate(k3, random_init(3, seed=0), params, ShilSchedule(), seed=0)
 
-    def test_euler_method_available(self, k3):
-        params = DynamicsParams(t_max=5.0)
-        traj = integrate(k3, random_init(3, seed=1), params, ShilSchedule(), seed=1, method="euler")
-        assert traj.final.time == pytest.approx(5.0)
-        with pytest.raises(ValueError):
-            integrate(k3, random_init(3, seed=1), params, ShilSchedule(), method="rk45")
-
     def test_square_schedule_runs(self, k3):
         params = DynamicsParams(t_max=10.0)
         sched = ShilSchedule(t_on=1.0, ramp=1.0, mode="square", period=2.0, duty=0.5)
@@ -302,17 +294,7 @@ class TestDetectConvergence:
             detect_convergence(traj, window=1)
 
 
-class TestTrajectoryCsv:
-    def test_shape_and_flag(self, k3):
-        params = DynamicsParams(t_max=2.0)
-        traj = integrate(k3, random_init(3, seed=0), params, ShilSchedule(), seed=0)
-        text = trajectory_csv(traj, k3)
-        lines = text.strip().split("\n")
-        assert lines[0] == "time,lyapunov,accuracy"
-        assert len(lines) == len(traj.checkpoints) + 1
-        wide = trajectory_csv(traj, k3, include_phases=True)
-        assert wide.startswith("time,phase_0,phase_1,phase_2,lyapunov,accuracy")
-
+class TestTrajectory:
     def test_strictly_increasing_times_enforced(self):
         coloring = Coloring([0], 2)
         cp = Checkpoint(1.0, lattice_state(coloring), 0.0, coloring, 0.0)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -121,7 +122,7 @@ class TestAblate:
 class TestDetuneSweep:
     def test_zero_and_far_detuning_limits(self):
         graph = random_colorable_graph(20, 44, seed=7)
-        params = detune_protocol_params(t_max=20.0)
+        params = dataclasses.replace(detune_protocol_params(), t_max=20.0)
         sweep = detune_sweep(graph, params, SCHED, deltas=[0.0, 400.0], iterations=3)
         by_delta = dict(sweep)
         assert by_delta[0.0] < 1.5
@@ -130,6 +131,8 @@ class TestDetuneSweep:
     def test_requires_deltas(self, k3):
         with pytest.raises(ValueError):
             detune_sweep(k3, FAST, SCHED, deltas=[], iterations=1)
+        with pytest.raises(ValueError, match="iterations must be >= 1"):
+            detune_sweep(k3, FAST, SCHED, deltas=[0.0], iterations=0)
 
 
 class TestBootstrap:
