@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -74,19 +75,30 @@ def _build_settings(args, base: DynamicsParams | None = None) -> tuple[DynamicsP
     return params, schedule
 
 
-def _load_graph(path: Path):
-    return parse_dimacs(path.read_text())
+def _write_atomic(path: Path, text: str):
+    """Write through a temp file in the same directory, then rename it over
+    `path`, so a failed write leaves any existing file at `path` untouched."""
+    if path.exists() and not path.is_file():
+        # a pipe or device such as /dev/stdout must be written, not replaced
+        path.write_text(text)
+        return
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _emit(text: str, out: Path | None):
     if out is None:
         sys.stdout.write(text)
     else:
-        out.write_text(text)
+        _write_atomic(out, text)
 
 
 def _cmd_solve(args) -> int:
-    graph = _load_graph(args.file)
+    graph = parse_dimacs(args.file.read_text())
     params, schedule = _build_settings(args)
     report = solve_multi(
         graph, params, schedule, args.iters, args.seed,
@@ -97,7 +109,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    graph = _load_graph(args.file)
+    graph = parse_dimacs(args.file.read_text())
     params, schedule = _build_settings(args)
     report = ablate(
         graph, params, schedule, AblationMode(args.mode), args.iters, args.seed,
@@ -147,7 +159,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_landscape(args) -> int:
-    graph = _load_graph(args.file)
+    graph = parse_dimacs(args.file.read_text())
     n_phases = args.n_phases if args.n_phases is not None else 3
     scape = enumerate_landscape(graph, n_phases)
     head = "# " + json.dumps({"benchmark": args.file.stem, "n_phases": n_phases}) + "\n"
@@ -161,7 +173,7 @@ def _cmd_landscape(args) -> int:
 
 
 def _cmd_detune(args) -> int:
-    graph = _load_graph(args.file)
+    graph = parse_dimacs(args.file.read_text())
     params, schedule = _build_settings(args, base=detune_protocol_params())
     deltas = [float(tok) for tok in args.deltas.split(",") if tok.strip()]
     sweep = detune_sweep(graph, params, schedule, deltas, args.iters,
@@ -177,8 +189,8 @@ def _cmd_detune(args) -> int:
 
 def _cmd_gen(args) -> int:
     instance = gen_planted(args.n, args.m, args.k, args.seed)
-    args.out.write_text(write_dimacs(instance.graph))
-    args.out.with_suffix(".json").write_text(planted_sidecar(instance) + "\n")
+    _write_atomic(args.out, write_dimacs(instance.graph))
+    _write_atomic(args.out.with_suffix(".json"), planted_sidecar(instance) + "\n")
     print(
         f"wrote {args.out} ({args.n} vertices, {args.m} edges, "
         f"{args.k}-colorable by construction, seed {args.seed})",

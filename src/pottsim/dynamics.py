@@ -3,14 +3,16 @@
 Each vertex of the problem graph is one oscillator.  The phase vector evolves
 by gradient descent of the Lyapunov function in `potts.lyapunov`:
 
-    dtheta_i/dt = K_c * sum_j J_ij sin(theta_i - theta_j)
+    dtheta_i/dt = K_c * sum_j sin(theta_i - theta_j)
                   - K_s(t) * sin(N * theta_i - delta * t)
 
-The SHIL gain K_s(t) follows a schedule (off until t_on, linear ramp, then a
-constant or square-wave envelope), so the graph couplings act first and the
-N-phase discretization engages afterwards.  A nonzero detuning rate `delta`
-rotates the SHIL lattice, modelling a stimulus frequency slightly off the
-exact N-th harmonic.  Time is measured in natural oscillator cycles.
+where j runs over the neighbours of i: every edge is one unit repulsive
+coupling.  The SHIL gain K_s(t) follows a schedule (off until t_on, linear
+ramp, then a constant or square-wave envelope), so the graph couplings act
+first and the N-phase discretization engages afterwards.  A nonzero
+detuning rate `delta` rotates the SHIL lattice, modelling a stimulus
+frequency slightly off the exact N-th harmonic.  Time is measured in natural
+oscillator cycles.
 """
 from __future__ import annotations
 
@@ -24,6 +26,10 @@ from .potts import Coloring, PhaseState, TWO_PI, lyapunov, quantize
 
 # Time between trajectory checkpoints (cycles).
 CHECKPOINT_STRIDE = 0.5
+# Settle rule: the rounded coloring is unchanged over this many consecutive
+# checkpoints and max |dtheta/dt| is below CONVERGENCE_EPS at the last one.
+CONVERGENCE_WINDOW = 5
+CONVERGENCE_EPS = 1e-3
 
 
 class IntegrationDivergedError(RuntimeError):
@@ -129,7 +135,6 @@ def _rhs_core(
     t: float,
     u: np.ndarray,
     v: np.ndarray,
-    w: np.ndarray,
     n: int,
     coupling_gain: float,
     shil_gain_now: float,
@@ -138,10 +143,10 @@ def _rhs_core(
 ) -> np.ndarray:
     s = np.sin(theta)
     c = np.cos(theta)
-    # sum_j J_ij sin(theta_i - theta_j) expanded so each edge costs two
-    # weighted bincounts instead of a scatter-add
-    ac = np.bincount(u, w * c[v], minlength=n) + np.bincount(v, w * c[u], minlength=n)
-    as_ = np.bincount(u, w * s[v], minlength=n) + np.bincount(v, w * s[u], minlength=n)
+    # sum_j sin(theta_i - theta_j) expanded so each edge costs two bincounts
+    # instead of a scatter-add
+    ac = np.bincount(u, c[v], minlength=n) + np.bincount(v, c[u], minlength=n)
+    as_ = np.bincount(u, s[v], minlength=n) + np.bincount(v, s[u], minlength=n)
     out = coupling_gain * (s * ac - c * as_)
     if shil_gain_now != 0.0:
         out -= shil_gain_now * np.sin(n_phases * theta - detuning * t)
@@ -154,20 +159,18 @@ def rhs(
     coupling_gain: float,
     shil_gain_now: float,
     n_phases: int,
-    detuning: float = 0.0,
-    t: float = 0.0,
 ) -> np.ndarray:
-    """Instantaneous phase velocities for the given gains.
+    """Instantaneous phase velocities for the given gains, without detuning.
 
-    With detuning = 0 this is exactly minus the gradient of
+    This is exactly minus the gradient of
     ``lyapunov(graph, state, coupling_gain, shil_gain_now, n_phases)``.
     """
     if shil_gain_now < 0:
         raise ValueError("shil_gain_now must be >= 0")
-    u, v, w = graph.edge_arrays()
+    u, v = graph.edge_arrays()
     return _rhs_core(
-        state.phases, t, u, v, w, graph.num_vertices,
-        coupling_gain, shil_gain_now, n_phases, detuning,
+        state.phases, 0.0, u, v, graph.num_vertices,
+        coupling_gain, shil_gain_now, n_phases, 0.0,
     )
 
 
@@ -176,7 +179,7 @@ def random_init(n: int, seed: int) -> PhaseState:
     if n < 1:
         raise ValueError("need at least one vertex")
     rng = np.random.default_rng([seed, 0])
-    return PhaseState(rng.random(n) * TWO_PI, timestamp=0.0)
+    return PhaseState(rng.random(n) * TWO_PI)
 
 
 def integrate(
@@ -200,7 +203,7 @@ def integrate(
     """
     if len(init) != graph.num_vertices:
         raise ValueError("initial state length does not match graph")
-    u, v, w = graph.edge_arrays()
+    u, v = graph.edge_arrays()
     n = graph.num_vertices
     kc = params.coupling_gain
     ks_max = params.shil_gain_max
@@ -210,7 +213,7 @@ def integrate(
 
     def f(theta: np.ndarray, t: float) -> np.ndarray:
         ks_now = ks_max * schedule.envelope(t)
-        return _rhs_core(theta, t, u, v, w, n, kc, ks_now, nph, delta)
+        return _rhs_core(theta, t, u, v, n, kc, ks_now, nph, delta)
 
     steps = int(round(params.t_max / dt))
     ckpt_every = max(1, int(round(CHECKPOINT_STRIDE / dt)))
@@ -219,7 +222,7 @@ def integrate(
     noise_std = noise * np.sqrt(dt)
 
     def checkpoint(theta: np.ndarray, t: float) -> Checkpoint:
-        state = PhaseState(theta, timestamp=t)
+        state = PhaseState(theta)
         ks_now = ks_max * schedule.envelope(t)
         return Checkpoint(
             time=t,
@@ -254,23 +257,21 @@ def integrate(
     return Trajectory(tuple(checkpoints), CHECKPOINT_STRIDE)
 
 
-def detect_convergence(
-    trajectory: Trajectory, window: int = 5, eps: float = 1e-3
-) -> Optional[float]:
+def detect_convergence(trajectory: Trajectory) -> Optional[float]:
     """Earliest checkpoint time at which the machine has settled.
 
-    Settled means the rounded coloring is identical over the `window` most
-    recent checkpoints and max |dtheta/dt| is below `eps` at the last of
-    them.  Returns None if that never happens within the trajectory.
+    Settled means the rounded coloring is identical over the
+    CONVERGENCE_WINDOW most recent checkpoints and max |dtheta/dt| is below
+    CONVERGENCE_EPS at the last of them.  Returns None if that never happens
+    within the trajectory.
     """
-    if window < 2:
-        raise ValueError("window must be >= 2")
     cps = trajectory.checkpoints
-    for i in range(window - 1, len(cps)):
-        if cps[i].max_rate >= eps:
+    for i in range(CONVERGENCE_WINDOW - 1, len(cps)):
+        if cps[i].max_rate >= CONVERGENCE_EPS:
             continue
         ref = cps[i].coloring.spins
-        if all(np.array_equal(cps[j].coloring.spins, ref) for j in range(i - window + 1, i)):
+        if all(np.array_equal(cps[j].coloring.spins, ref)
+               for j in range(i - CONVERGENCE_WINDOW + 1, i)):
             return cps[i].time
     return None
 

@@ -1,10 +1,12 @@
-"""DIMACS .col graph parsing/writing and planted K-colorable instance generation."""
+"""DIMACS .col graph parsing/writing and planted K-colorable instance generation.
+
+Every edge is one unit repulsive coupling: a .col edge line carries no weight.
+"""
 from __future__ import annotations
 
 import json
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Optional
 
 import numpy as np
 
@@ -21,13 +23,11 @@ class Graph:
 
     edges is an (m, 2) int array with each row stored as (min, max); row order
     is preserved from the source (file order or generation order) and fixes
-    the summation order of all energy evaluations.  weights, when present,
-    holds one finite coupling strength J_ij per edge (default 1.0).
+    the summation order of all energy evaluations.
     """
 
     num_vertices: int
     edges: np.ndarray
-    weights: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.num_vertices < 1:
@@ -42,22 +42,14 @@ class Graph:
                 raise ValueError("self-loop")
             if len(np.unique(edges, axis=0)) != len(edges):
                 raise ValueError("duplicate edge")
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=np.float64)
-            if w.shape != (len(edges),):
-                raise ValueError("weights must have one entry per edge")
-            if not np.all(np.isfinite(w)):
-                raise ValueError("non-finite edge weight")
-            object.__setattr__(self, "weights", w)
 
     @property
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(u, v, w) arrays for vectorized edge sums; w defaults to ones."""
-        w = self.weights if self.weights is not None else np.ones(len(self.edges))
-        return self.edges[:, 0], self.edges[:, 1], w
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(u, v) endpoint arrays for vectorized edge sums."""
+        return self.edges[:, 0], self.edges[:, 1]
 
     def edge_set(self) -> set[tuple[int, int]]:
         return {(int(u), int(v)) for u, v in self.edges}
@@ -73,7 +65,7 @@ class PlantedInstance:
     seed: int
 
 
-def parse_dimacs(text: str | Iterable[str]) -> Graph:
+def parse_dimacs(text: str) -> Graph:
     """Parse a DIMACS .col character stream into a Graph.
 
     Grammar: ``c`` comment lines, one ``p edge <n> <m>`` header, ``e <u> <v>``
@@ -83,18 +75,13 @@ def parse_dimacs(text: str | Iterable[str]) -> Graph:
     headers, out-of-range endpoints, self-loops and non-integer tokens raise
     DimacsError naming the offending line.
     """
-    if isinstance(text, str):
-        lines = text.splitlines()
-    else:
-        lines = [ln.rstrip("\n") for ln in text]
-
     num_vertices = None
     declared_edges = None
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     duplicates = 0
 
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
@@ -146,7 +133,7 @@ def parse_dimacs(text: str | Iterable[str]) -> Graph:
 
 
 def write_dimacs(graph: Graph) -> str:
-    """Serialize a Graph as DIMACS .col text (1-based endpoints, weights dropped)."""
+    """Serialize a Graph as DIMACS .col text (1-based endpoints)."""
     out = [f"p edge {graph.num_vertices} {graph.num_edges}"]
     for u, v in graph.edges:
         out.append(f"e {u + 1} {v + 1}")

@@ -67,12 +67,12 @@ def enumerate_landscape(graph: Graph, n_phases: int) -> Landscape:
     """
     n_states = n_phases**graph.num_vertices
     _guard(n_states, "enumerate_landscape")
-    u, v, w = graph.edge_arrays()
+    u, v = graph.edge_arrays()
     costab = np.cos(TWO_PI * np.arange(n_phases) / n_phases)
-    adjacency: list[list[tuple[int, float]]] = [[] for _ in range(graph.num_vertices)]
-    for (a, b), wt in zip(graph.edges, w):
-        adjacency[a].append((int(b), float(wt)))
-        adjacency[b].append((int(a), float(wt)))
+    adjacency: list[list[int]] = [[] for _ in range(graph.num_vertices)]
+    for a, b in graph.edges:
+        adjacency[a].append(int(b))
+        adjacency[b].append(int(a))
 
     tol = 1e-9 * max(1.0, float(graph.num_edges))
     all_energies = np.empty(n_states, dtype=np.float64)
@@ -80,7 +80,7 @@ def enumerate_landscape(graph: Graph, n_phases: int) -> Landscape:
     for codes, spins in _spin_chunks(graph.num_vertices, n_phases):
         energies = np.zeros(len(codes))
         for e in range(len(u)):
-            energies += w[e] * costab[(spins[:, u[e]] - spins[:, v[e]]) % n_phases]
+            energies += costab[(spins[:, u[e]] - spins[:, v[e]]) % n_phases]
         all_energies[codes[0] : codes[0] + len(codes)] = energies
 
         is_local = np.ones(len(codes), dtype=bool)
@@ -89,8 +89,8 @@ def enumerate_landscape(graph: Graph, n_phases: int) -> Landscape:
                 continue
             # energy contribution of this vertex for each candidate spin
             contrib = np.zeros((len(codes), n_phases))
-            for nbr, wt in adjacency[vertex]:
-                contrib += wt * costab[(np.arange(n_phases)[None, :] - spins[:, nbr, None]) % n_phases]
+            for nbr in adjacency[vertex]:
+                contrib += costab[(np.arange(n_phases)[None, :] - spins[:, nbr, None]) % n_phases]
             current = contrib[np.arange(len(codes)), spins[:, vertex]]
             is_local &= contrib.min(axis=1) >= current - tol
         num_local += int(np.count_nonzero(is_local))
@@ -104,7 +104,7 @@ def enumerate_landscape(graph: Graph, n_phases: int) -> Landscape:
 def count_proper_colorings(graph: Graph, k: int) -> int:
     """Exact number of proper k-colorings, by enumeration (guarded to 10^7)."""
     _guard(k**graph.num_vertices, "count_proper_colorings")
-    u, v, _ = graph.edge_arrays()
+    u, v = graph.edge_arrays()
     total = 0
     for _, spins in _spin_chunks(graph.num_vertices, k):
         proper = np.ones(len(spins), dtype=bool)

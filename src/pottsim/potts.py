@@ -4,7 +4,8 @@ A configuration of the machine lives in one of two spaces: discrete spins
 (`Coloring`, one of N values per vertex) or continuous oscillator phases
 (`PhaseState`, radians in [0, 2*pi)).  The functions here evaluate the
 discrete Potts energy, its continuous (vector) relaxation, and the global
-Lyapunov function that the phase dynamics descend.
+Lyapunov function that the phase dynamics descend.  Every edge is one unit
+repulsive coupling.
 """
 from __future__ import annotations
 
@@ -43,7 +44,6 @@ class PhaseState:
     """Continuous oscillator phases, stored canonically in [0, 2*pi)."""
 
     phases: np.ndarray
-    timestamp: float = 0.0
 
     def __post_init__(self):
         phases = np.asarray(self.phases, dtype=np.float64)
@@ -63,22 +63,19 @@ def _check_length(graph: Graph, n: int, what: str):
 
 
 def delta_energy(graph: Graph, coloring: Coloring) -> float:
-    """Potts energy: sum of edge weights over monochromatic edges.
-
-    With unit weights this is the number of conflicting (equal-color) edges.
-    """
+    """Potts energy: the number of conflicting (equal-color) edges."""
     _check_length(graph, len(coloring), "coloring")
-    u, v, w = graph.edge_arrays()
+    u, v = graph.edge_arrays()
     s = coloring.spins
-    return float(np.sum(w * (s[u] == s[v])))
+    return float(np.count_nonzero(s[u] == s[v]))
 
 
 def vector_energy(graph: Graph, state: PhaseState) -> float:
-    """Continuous relaxation: sum of J_ij * cos(theta_i - theta_j) over edges."""
+    """Continuous relaxation: sum of cos(theta_i - theta_j) over edges."""
     _check_length(graph, len(state), "state")
-    u, v, w = graph.edge_arrays()
+    u, v = graph.edge_arrays()
     th = state.phases
-    return float(np.sum(w * np.cos(th[u] - th[v])))
+    return float(np.sum(np.cos(th[u] - th[v])))
 
 
 def lattice_phase(spin: int, n_phases: int) -> float:
@@ -88,9 +85,9 @@ def lattice_phase(spin: int, n_phases: int) -> float:
     return TWO_PI * spin / n_phases
 
 
-def lattice_state(coloring: Coloring, timestamp: float = 0.0) -> PhaseState:
+def lattice_state(coloring: Coloring) -> PhaseState:
     """PhaseState with every vertex at its spin's lattice phase."""
-    return PhaseState(TWO_PI * coloring.spins / coloring.num_phases, timestamp)
+    return PhaseState(TWO_PI * coloring.spins / coloring.num_phases)
 
 
 def quantize(state: PhaseState, n_phases: int) -> Coloring:
@@ -114,7 +111,7 @@ def quantize(state: PhaseState, n_phases: int) -> Coloring:
 def accuracy(graph: Graph, coloring: Coloring) -> float:
     """Fraction of edges whose endpoints get different colors (1.0 if no edges)."""
     _check_length(graph, len(coloring), "coloring")
-    u, v, _ = graph.edge_arrays()
+    u, v = graph.edge_arrays()
     if len(u) == 0:
         return 1.0
     s = coloring.spins
@@ -130,7 +127,7 @@ def lyapunov(
 ) -> float:
     """Global energy descended by the phase dynamics.
 
-    L = K_c * sum_edges J_ij cos(theta_i - theta_j)
+    L = K_c * sum_edges cos(theta_i - theta_j)
         - (K_s / N) * sum_i cos(N * theta_i)
 
     The SHIL well term is minimized exactly at the lattice phases; with

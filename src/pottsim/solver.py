@@ -20,6 +20,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dynamics import (
+    CONVERGENCE_EPS,
+    CONVERGENCE_WINDOW,
     DynamicsParams,
     ShilSchedule,
     detect_convergence,
@@ -37,8 +39,9 @@ from .potts import (
 )
 
 HISTOGRAM_BINS = 100
-CONVERGENCE_WINDOW = 5
-CONVERGENCE_EPS = 1e-3
+# Percentile bootstrap: resamples per interval and two-sided coverage.
+BOOTSTRAP_RESAMPLES = 1000
+BOOTSTRAP_CONFIDENCE = 0.95
 
 # Readout operating point for lattice-deviation measurements: the deviation
 # of a settled phase from its lattice target scales like 1/shil_gain, so the
@@ -137,7 +140,7 @@ def solve_once(
         accuracy=accuracy(graph, coloring),
         delta_energy=delta_energy(graph, coloring),
         vector_energy=vector_energy(graph, final.state),
-        cycles=detect_convergence(traj, CONVERGENCE_WINDOW, CONVERGENCE_EPS),
+        cycles=detect_convergence(traj),
     )
 
 
@@ -302,20 +305,16 @@ def detune_sweep(
 
 
 def bootstrap_mean_diff(
-    xs: Sequence[float],
-    ys: Sequence[float],
-    n_boot: int = 1000,
-    seed: int = 0,
-    confidence: float = 0.95,
+    xs: Sequence[float], ys: Sequence[float], *, seed: int = 0
 ) -> tuple[float, float]:
     """Percentile bootstrap CI for mean(xs) - mean(ys) (independent samples)."""
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     rng = np.random.default_rng(seed)
-    diffs = np.empty(n_boot)
-    for b in range(n_boot):
+    diffs = np.empty(BOOTSTRAP_RESAMPLES)
+    for b in range(BOOTSTRAP_RESAMPLES):
         diffs[b] = np.mean(rng.choice(xs, len(xs))) - np.mean(rng.choice(ys, len(ys)))
-    lo = (1.0 - confidence) / 2.0
+    lo = (1.0 - BOOTSTRAP_CONFIDENCE) / 2.0
     return (
         float(np.quantile(diffs, lo)),
         float(np.quantile(diffs, 1.0 - lo)),

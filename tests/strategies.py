@@ -8,23 +8,14 @@ from pottsim import Coloring, Graph, PhaseState
 
 
 @st.composite
-def graphs(draw, max_vertices: int = 8, weighted: bool = False) -> Graph:
+def graphs(draw, max_vertices: int = 8) -> Graph:
     n = draw(st.integers(min_value=1, max_value=max_vertices))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     if pairs:
         edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
     else:
         edges = []
-    weights = None
-    if weighted and edges:
-        weights = draw(
-            st.lists(
-                st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
-                min_size=len(edges),
-                max_size=len(edges),
-            )
-        )
-    return Graph(n, np.array(edges, dtype=np.int64).reshape(-1, 2), weights)
+    return Graph(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
 
 
 @st.composite

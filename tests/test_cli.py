@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,6 +213,40 @@ class TestErrors:
         assert rc == 1
         assert "jobs must be >= 1" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_failed_write_keeps_existing_out_file(self, tiny_col, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "r.json"
+        out.write_text("old report\n")
+        real_write_text = Path.write_text
+
+        def partial_write(path, text):
+            real_write_text(path, text[:10])
+            raise OSError("no space left on device")
+
+        def failed_replace(src, dst):
+            raise OSError("rename failed")
+
+        for owner, attr, fail in ((Path, "write_text", partial_write),
+                                  (os, "replace", failed_replace)):
+            with monkeypatch.context() as m:
+                m.setattr(owner, attr, fail)
+                rc = main(["solve", str(tiny_col), *FAST_FLAGS, "--out", str(out)])
+            assert rc == 1
+            assert "error:" in capsys.readouterr().err
+            assert out.read_text() == "old report\n"
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json", "tiny.col"]
+
+    def test_out_may_name_a_pipe(self, tiny_col, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+        reader.start()
+        rc = main(["solve", str(tiny_col), *FAST_FLAGS, "--out", str(fifo)])
+        reader.join(timeout=60)
+        assert rc == 0
+        assert json.loads(got[0])["benchmark"] == "tiny"
+        assert fifo.is_fifo()
 
     def test_malformed_input_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.col"

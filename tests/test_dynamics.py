@@ -24,6 +24,7 @@ from pottsim import (
     random_init,
     rhs,
 )
+from pottsim.dynamics import CONVERGENCE_WINDOW
 
 from conftest import random_colorable_graph
 
@@ -269,7 +270,7 @@ def constant_trajectory(coloring: Coloring, count: int, stride: float = 0.5) -> 
 class TestDetectConvergence:
     def test_constant_trajectory_converges_at_window(self):
         traj = constant_trajectory(Coloring([0, 1, 2], 3), count=10)
-        assert detect_convergence(traj, window=5, eps=1e-3) == traj.checkpoints[4].time
+        assert detect_convergence(traj) == traj.checkpoints[CONVERGENCE_WINDOW - 1].time
 
     def test_flickering_coloring_never_converges(self):
         a, b = Coloring([0, 1, 2], 3), Coloring([1, 2, 0], 3)
@@ -278,7 +279,7 @@ class TestDetectConvergence:
                        -1.0, a if i % 2 else b, 0.0)
             for i in range(10)
         ]
-        assert detect_convergence(Trajectory(tuple(cps), 0.5), window=3, eps=1e-3) is None
+        assert detect_convergence(Trajectory(tuple(cps), 0.5)) is None
 
     def test_high_rate_blocks_convergence(self):
         coloring = Coloring([0, 1, 2], 3)
@@ -286,12 +287,7 @@ class TestDetectConvergence:
             Checkpoint(i * 0.5 if i else 0.0, lattice_state(coloring), -1.0, coloring, 1.0)
             for i in range(10)
         ]
-        assert detect_convergence(Trajectory(tuple(cps), 0.5), window=3, eps=1e-3) is None
-
-    def test_window_must_be_at_least_two(self):
-        traj = constant_trajectory(Coloring([0], 2), count=4)
-        with pytest.raises(ValueError):
-            detect_convergence(traj, window=1)
+        assert detect_convergence(Trajectory(tuple(cps), 0.5)) is None
 
 
 class TestTrajectory:

@@ -88,12 +88,6 @@ class TestGraphValidation:
         with pytest.raises(ValueError, match="out of range"):
             Graph(3, [(0, 3)])
 
-    def test_rejects_bad_weights(self):
-        with pytest.raises(ValueError, match="one entry per edge"):
-            Graph(3, [(0, 1)], weights=[1.0, 2.0])
-        with pytest.raises(ValueError, match="finite"):
-            Graph(3, [(0, 1)], weights=[np.inf])
-
     def test_edge_rows_normalized(self):
         g = Graph(4, [(3, 1), (2, 0)])
         assert g.edges.tolist() == [[1, 3], [0, 2]]

@@ -43,11 +43,6 @@ class TestDeltaEnergy:
             coloring = Coloring(rng.integers(0, 3, 8), 3)
             assert delta_energy(graph, coloring) == conflict_scan(graph, coloring)
 
-    def test_weighted(self):
-        graph = Graph(3, [(0, 1), (1, 2)], weights=[2.5, -1.0])
-        assert delta_energy(graph, Coloring([1, 1, 1], 3)) == pytest.approx(1.5)
-        assert delta_energy(graph, Coloring([1, 1, 0], 3)) == pytest.approx(2.5)
-
     def test_length_mismatch(self, k3):
         with pytest.raises(ValueError):
             delta_energy(k3, Coloring([0, 1], 3))

@@ -24,6 +24,7 @@ from pottsim import (
     solve_multi,
     solve_once,
 )
+from pottsim import dynamics
 
 from conftest import random_colorable_graph
 
@@ -187,6 +188,9 @@ class TestReports:
         assert params == FAST
         assert schedule == SCHED
         assert (iterations, base_seed) == (5, 2)
+        assert effective_config(FAST, SCHED, 5, 2)["convergence"] == {
+            "window": dynamics.CONVERGENCE_WINDOW, "eps": dynamics.CONVERGENCE_EPS,
+        }
 
     def test_config_survives_json(self, report):
         cfg = json.loads(json.dumps(report.params))
