@@ -75,26 +75,32 @@ def _build_settings(args, base: DynamicsParams | None = None) -> tuple[DynamicsP
     return params, schedule
 
 
-def _write_atomic(path: Path, text: str):
-    """Write through a temp file in the same directory, then rename it over
-    `path`, so a failed write leaves any existing file at `path` untouched."""
-    if path.exists() and not path.is_file():
-        # a pipe or device such as /dev/stdout must be written, not replaced
-        path.write_text(text)
-        return
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+def _write_atomic(files: dict[Path, str]):
+    """Write each file through a temp file in its directory, and rename the
+    temp files over their paths only once all of them are written, so a
+    failed write leaves every existing file untouched."""
+    tmps: dict[Path, Path] = {}
     try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
+        for path, text in files.items():
+            if path.exists() and not path.is_file():
+                # a pipe or device such as /dev/stdout must be written, not replaced
+                path.write_text(text)
+                continue
+            tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            tmps[tmp] = path
+            tmp.write_text(text)
+        for tmp, path in tmps.items():
+            os.replace(tmp, path)
     finally:
-        tmp.unlink(missing_ok=True)
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
 
 
 def _emit(text: str, out: Path | None):
     if out is None:
         sys.stdout.write(text)
     else:
-        _write_atomic(out, text)
+        _write_atomic({out: text})
 
 
 def _cmd_solve(args) -> int:
@@ -189,8 +195,10 @@ def _cmd_detune(args) -> int:
 
 def _cmd_gen(args) -> int:
     instance = gen_planted(args.n, args.m, args.k, args.seed)
-    _write_atomic(args.out, write_dimacs(instance.graph))
-    _write_atomic(args.out.with_suffix(".json"), planted_sidecar(instance) + "\n")
+    _write_atomic({
+        args.out: write_dimacs(instance.graph),
+        args.out.with_suffix(".json"): planted_sidecar(instance) + "\n",
+    })
     print(
         f"wrote {args.out} ({args.n} vertices, {args.m} edges, "
         f"{args.k}-colorable by construction, seed {args.seed})",

@@ -16,6 +16,7 @@ oscillator cycles.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,10 +25,12 @@ import numpy as np
 from .graph_io import Graph
 from .potts import Coloring, PhaseState, TWO_PI, lyapunov, quantize
 
-# Time between trajectory checkpoints (cycles).
+# Time between trajectory checkpoints (cycles), rounded to a whole number of
+# steps.
 CHECKPOINT_STRIDE = 0.5
 # Settle rule: the rounded coloring is unchanged over this many consecutive
-# checkpoints and max |dtheta/dt| is below CONVERGENCE_EPS at the last one.
+# checkpoints and max |dtheta/dt| is below CONVERGENCE_EPS at the last one
+# (see SettleDetector).
 CONVERGENCE_WINDOW = 5
 CONVERGENCE_EPS = 1e-3
 
@@ -94,10 +97,15 @@ class ShilSchedule:
             if not 0.0 <= self.duty <= 1.0:
                 raise ValueError("duty must lie in [0, 1]")
 
+    @property
+    def ramp_end(self) -> float:
+        """Time at which the ramp ends and the envelope takes its final form."""
+        return self.t_on + self.ramp
+
     def envelope(self, t: float) -> float:
         if self.mode == "off" or t < self.t_on:
             return 0.0
-        if self.ramp > 0 and t < self.t_on + self.ramp:
+        if self.ramp > 0 and t < self.ramp_end:
             return (t - self.t_on) / self.ramp
         if self.mode == "square":
             return 1.0 if (t - self.t_on - self.ramp) % self.period < self.duty * self.period else 0.0
@@ -115,7 +123,11 @@ class Checkpoint:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled run history: one checkpoint per stride plus the final time."""
+    """Sampled run history: one checkpoint per stride plus the final time.
+
+    `stride` is the actual checkpoint spacing in cycles, a whole number of
+    integrator steps.
+    """
 
     checkpoints: tuple[Checkpoint, ...]
     stride: float
@@ -128,6 +140,30 @@ class Trajectory:
     @property
     def final(self) -> Checkpoint:
         return self.checkpoints[-1]
+
+
+class SettleDetector:
+    """The settle rule, fed one checkpoint at a time.
+
+    The machine has settled at a checkpoint at time >= `settle_from` when the
+    rounded coloring is identical over the CONVERGENCE_WINDOW most recent
+    checkpoints and max |dtheta/dt| is below CONVERGENCE_EPS at that
+    checkpoint.  Solve runs pass the end of the SHIL ramp as `settle_from`:
+    before it the envelope is still changing, and a run whose phases have
+    not yet moved would count as settled.
+    """
+
+    def __init__(self, settle_from: float):
+        self.settle_from = settle_from
+        self.colorings: deque[np.ndarray] = deque(maxlen=CONVERGENCE_WINDOW)
+
+    def push(self, cp: Checkpoint) -> bool:
+        """Record the next checkpoint; True if the machine has settled at it."""
+        self.colorings.append(cp.coloring.spins)
+        if (cp.time < self.settle_from or cp.max_rate >= CONVERGENCE_EPS
+                or len(self.colorings) < CONVERGENCE_WINDOW):
+            return False
+        return all(np.array_equal(s, cp.coloring.spins) for s in self.colorings)
 
 
 def _rhs_core(
@@ -188,15 +224,22 @@ def integrate(
     params: DynamicsParams,
     schedule: ShilSchedule,
     seed: int = 0,
+    settle_exit: bool = False,
 ) -> Trajectory:
     """Fixed-step RK4 integration of the phase dynamics.
 
     Additive noise of std ``noise_amplitude * sqrt(dt)`` per step when
     enabled, drawn from a stream derived from ``seed`` so runs are
     reproducible.  Phases are canonicalized to [0, 2*pi) after every step.
-    Checkpoints are recorded every CHECKPOINT_STRIDE cycles and at t_max;
-    each carries the instantaneous Lyapunov value, the rounded coloring and
-    the max |dtheta/dt|.
+    Checkpoints are recorded every round(CHECKPOINT_STRIDE / dt) steps and at
+    the last step; each carries the instantaneous Lyapunov value, the
+    rounded coloring and the max |dtheta/dt|.
+
+    The run ends at t_max, or with ``settle_exit`` at the first checkpoint at
+    which the machine has settled (see SettleDetector), provided the rest of
+    the run would be a fixed gradient flow: no noise, no detuning and an
+    envelope that is not a square wave.  The settle rule only counts from the
+    end of the ramp.
 
     Raises IntegrationDivergedError if any phase becomes non-finite, which
     signals a step size too large for the configured gains.
@@ -220,8 +263,10 @@ def integrate(
     noise = params.noise_amplitude
     rng = np.random.default_rng([seed, 1]) if noise > 0 else None
     noise_std = noise * np.sqrt(dt)
+    fixed_flow = noise == 0 and delta == 0 and schedule.mode != "square"
+    settle = SettleDetector(schedule.ramp_end) if settle_exit and fixed_flow else None
 
-    def checkpoint(theta: np.ndarray, t: float) -> Checkpoint:
+    def checkpoint(theta: np.ndarray, t: float, rate: np.ndarray) -> Checkpoint:
         state = PhaseState(theta)
         ks_now = ks_max * schedule.envelope(t)
         return Checkpoint(
@@ -229,17 +274,19 @@ def integrate(
             state=state,
             lyapunov=lyapunov(graph, state, kc, ks_now, nph),
             coloring=quantize(state, nph),
-            max_rate=float(np.max(np.abs(f(state.phases, t)))),
+            max_rate=float(np.max(np.abs(rate))),
         )
 
     theta = init.phases.copy()
     # overflow to inf is caught by the isfinite check below, so silence the
     # intermediate numpy warnings it would spray first
     with np.errstate(over="ignore", invalid="ignore"):
-        checkpoints = [checkpoint(theta, 0.0)]
+        k1 = f(theta, 0.0)
+        checkpoints = [checkpoint(theta, 0.0, k1)]
+        if settle is not None:
+            settle.push(checkpoints[0])
         for i in range(steps):
             t = i * dt
-            k1 = f(theta, t)
             k2 = f(theta + 0.5 * dt * k1, t + 0.5 * dt)
             k3 = f(theta + 0.5 * dt * k2, t + 0.5 * dt)
             k4 = f(theta + dt * k3, t + dt)
@@ -252,26 +299,21 @@ def integrate(
                 raise IntegrationDivergedError(
                     f"non-finite phase at t={t_next:g} cycles (reduce dt or the gains)"
                 )
+            # the next step's k1 is also the velocity a checkpoint here reports
+            k1 = f(theta, t_next)
             if (i + 1) % ckpt_every == 0 or i + 1 == steps:
-                checkpoints.append(checkpoint(theta, t_next))
-    return Trajectory(tuple(checkpoints), CHECKPOINT_STRIDE)
+                checkpoints.append(checkpoint(theta, t_next, k1))
+                if settle is not None and settle.push(checkpoints[-1]):
+                    break
+    return Trajectory(tuple(checkpoints), ckpt_every * dt)
 
 
-def detect_convergence(trajectory: Trajectory) -> Optional[float]:
-    """Earliest checkpoint time at which the machine has settled.
-
-    Settled means the rounded coloring is identical over the
-    CONVERGENCE_WINDOW most recent checkpoints and max |dtheta/dt| is below
-    CONVERGENCE_EPS at the last of them.  Returns None if that never happens
-    within the trajectory.
-    """
-    cps = trajectory.checkpoints
-    for i in range(CONVERGENCE_WINDOW - 1, len(cps)):
-        if cps[i].max_rate >= CONVERGENCE_EPS:
-            continue
-        ref = cps[i].coloring.spins
-        if all(np.array_equal(cps[j].coloring.spins, ref)
-               for j in range(i - CONVERGENCE_WINDOW + 1, i)):
-            return cps[i].time
+def detect_convergence(trajectory: Trajectory, settle_from: float) -> Optional[float]:
+    """Earliest checkpoint time >= `settle_from` at which the machine has
+    settled by SettleDetector's rule, or None if that never happens within
+    the trajectory."""
+    settle = SettleDetector(settle_from)
+    for cp in trajectory.checkpoints:
+        if settle.push(cp):
+            return cp.time
     return None
-

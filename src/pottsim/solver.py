@@ -130,9 +130,10 @@ def solve_once(
     schedule: ShilSchedule,
     seed: int,
 ) -> RunRecord:
-    """One machine run: random init, integrate, quantize, score."""
+    """One machine run: random init, integrate until settled (or to t_max),
+    quantize, score.  `vector_energy` is read at the exit state."""
     init = random_init(graph.num_vertices, seed)
-    traj = integrate(graph, init, params, schedule, seed=seed)
+    traj = integrate(graph, init, params, schedule, seed=seed, settle_exit=True)
     final = traj.final
     coloring = final.coloring
     return RunRecord(
@@ -140,7 +141,7 @@ def solve_once(
         accuracy=accuracy(graph, coloring),
         delta_energy=delta_energy(graph, coloring),
         vector_energy=vector_energy(graph, final.state),
-        cycles=detect_convergence(traj),
+        cycles=detect_convergence(traj, schedule.ramp_end),
     )
 
 
@@ -267,7 +268,8 @@ def detune_protocol_params() -> DynamicsParams:
 def _detune_task(args) -> float:
     graph, params, schedule, seed = args
     init = random_init(graph.num_vertices, seed)
-    traj = integrate(graph, init, params, schedule, seed=seed)
+    # every row of a sweep is read at the same horizon
+    traj = integrate(graph, init, params, schedule, seed=seed, settle_exit=False)
     final = traj.final
     dev = lattice_deviation(final.state, params.n_phases,
                             offset=params.detuning * final.time)

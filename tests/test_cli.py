@@ -179,6 +179,26 @@ class TestGenCommand:
         # determinism: library call with the same seed gives the same graph
         assert gen_planted(40, 80, 3, 5).graph.edge_set() == graph.edge_set()
 
+    def test_failed_sidecar_write_keeps_old_pair(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "rnd.col"
+        sidecar = out.with_suffix(".json")
+        out.write_bytes(b"old graph\n")
+        sidecar.write_bytes(b"old sidecar\n")
+        real_write_text = Path.write_text
+
+        def failing_sidecar(path, text):
+            if path.name.startswith(f".{sidecar.name}."):
+                raise OSError("no space left on device")
+            return real_write_text(path, text)
+
+        monkeypatch.setattr(Path, "write_text", failing_sidecar)
+        rc = main(["gen", "--n", "40", "--m", "80", "--seed", "5", "--out", str(out)])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+        assert out.read_bytes() == b"old graph\n"
+        assert sidecar.read_bytes() == b"old sidecar\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rnd.col", "rnd.json"]
+
     def test_infeasible_request_errors(self, tmp_path, capsys):
         rc = main(["gen", "--n", "4", "--m", "7", "--k", "2", "--seed", "1",
                    "--out", str(tmp_path / "x.col")])

@@ -256,6 +256,46 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="length"):
             integrate(k3, random_init(4, seed=0), DynamicsParams(t_max=1.0), ShilSchedule())
 
+    def test_stride_is_the_checkpoint_spacing(self, k3):
+        # 0.5 / 0.008 = 62.5 rounds to 62 steps per checkpoint
+        params = DynamicsParams(dt=0.008, t_max=2.0)
+        traj = integrate(k3, random_init(3, seed=0), params, ShilSchedule(), seed=0)
+        assert traj.stride == 62 * 0.008
+        assert traj.checkpoints[1].time == traj.stride
+
+    @pytest.mark.parametrize("kc", [1.0, 0.0])
+    def test_settle_exit_stops_at_the_settle_time(self, kc):
+        # kc = 0 is the sync_only machine: its phases sit still until SHIL
+        # switches on, which must not count as settling
+        graph = random_colorable_graph(20, 40, seed=5)
+        params = DynamicsParams(coupling_gain=kc, t_max=40.0)
+        sched = ShilSchedule()
+        for seed in range(3):
+            init = random_init(20, seed)
+            early = integrate(graph, init, params, sched, seed=seed, settle_exit=True)
+            full = integrate(graph, init, params, sched, seed=seed)
+            settle = detect_convergence(early, sched.ramp_end)
+            assert settle == early.final.time == detect_convergence(full, sched.ramp_end)
+            assert sched.ramp_end <= settle < params.t_max
+            # stopping early changes nothing before the exit
+            for a, b in zip(early.checkpoints, full.checkpoints):
+                assert a.time == b.time and a.max_rate == b.max_rate
+                assert np.array_equal(a.state.phases, b.state.phases)
+
+    @pytest.mark.parametrize("params, sched", [
+        (DynamicsParams(noise_amplitude=1e-4, t_max=30.0), ShilSchedule()),
+        (DynamicsParams(detuning=1e-5, t_max=30.0), ShilSchedule()),
+        # a square wave with duty 1 is never off, so only its mode differs
+        # from the constant envelope
+        (DynamicsParams(t_max=30.0), ShilSchedule(mode="square", period=1.0, duty=1.0)),
+    ], ids=["noise", "detuning", "square"])
+    def test_settle_exit_needs_a_fixed_gradient_flow(self, params, sched):
+        graph = random_colorable_graph(20, 40, seed=5)
+        traj = integrate(graph, random_init(20, 1), params, sched, seed=1, settle_exit=True)
+        assert traj.final.time == pytest.approx(params.t_max)
+        # the settle rule held well before t_max, so only the gate kept it running
+        assert detect_convergence(traj, sched.ramp_end) < params.t_max - 5.0
+
 
 def constant_trajectory(coloring: Coloring, count: int, stride: float = 0.5) -> Trajectory:
     state = lattice_state(coloring)
@@ -270,7 +310,7 @@ def constant_trajectory(coloring: Coloring, count: int, stride: float = 0.5) -> 
 class TestDetectConvergence:
     def test_constant_trajectory_converges_at_window(self):
         traj = constant_trajectory(Coloring([0, 1, 2], 3), count=10)
-        assert detect_convergence(traj) == traj.checkpoints[CONVERGENCE_WINDOW - 1].time
+        assert detect_convergence(traj, 0.0) == traj.checkpoints[CONVERGENCE_WINDOW - 1].time
 
     def test_flickering_coloring_never_converges(self):
         a, b = Coloring([0, 1, 2], 3), Coloring([1, 2, 0], 3)
@@ -279,7 +319,12 @@ class TestDetectConvergence:
                        -1.0, a if i % 2 else b, 0.0)
             for i in range(10)
         ]
-        assert detect_convergence(Trajectory(tuple(cps), 0.5)) is None
+        assert detect_convergence(Trajectory(tuple(cps), 0.5), 0.0) is None
+
+    def test_settle_counts_from_settle_from(self):
+        traj = constant_trajectory(Coloring([0, 1, 2], 3), count=30)
+        assert detect_convergence(traj, 10.0) == 10.0
+        assert detect_convergence(traj, 20.0) is None
 
     def test_high_rate_blocks_convergence(self):
         coloring = Coloring([0, 1, 2], 3)
@@ -287,7 +332,7 @@ class TestDetectConvergence:
             Checkpoint(i * 0.5 if i else 0.0, lattice_state(coloring), -1.0, coloring, 1.0)
             for i in range(10)
         ]
-        assert detect_convergence(Trajectory(tuple(cps), 0.5)) is None
+        assert detect_convergence(Trajectory(tuple(cps), 0.5), 0.0) is None
 
 
 class TestTrajectory:

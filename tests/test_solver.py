@@ -13,12 +13,17 @@ from pottsim import (
     IntegrationDivergedError,
     ShilSchedule,
     ablate,
+    accuracy,
     bootstrap_mean_diff,
     config_to_settings,
+    delta_energy,
+    detect_convergence,
     detune_protocol_params,
     detune_sweep,
     effective_config,
     histogram_csv,
+    integrate,
+    random_init,
     report_csv,
     report_json,
     solve_multi,
@@ -45,6 +50,17 @@ class TestSolveOnce:
             for s in range(100)
         )
         assert solved >= 95
+
+    def test_settle_exit_scores_like_the_full_horizon(self):
+        graph = random_colorable_graph(30, 66, seed=4)
+        params = DynamicsParams(t_max=40.0)
+        for seed in range(6):
+            record = solve_once(graph, params, SCHED, seed=seed)
+            full = integrate(graph, random_init(30, seed), params, SCHED, seed=seed)
+            assert record.cycles < params.t_max  # the run did stop early
+            assert record.accuracy == accuracy(graph, full.final.coloring)
+            assert record.delta_energy == delta_energy(graph, full.final.coloring)
+            assert record.cycles == detect_convergence(full, SCHED.ramp_end)
 
     def test_deterministic_per_seed(self):
         graph = random_colorable_graph(15, 30, seed=0)
@@ -99,6 +115,12 @@ class TestAblate:
         none = ablate(graph, FAST, SCHED, AblationMode.NONE, iterations=60, base_seed=0)
         sync = ablate(graph, FAST, SCHED, AblationMode.SYNC_ONLY, iterations=60, base_seed=0)
         assert abs(sync.avg_accuracy - none.avg_accuracy) < 0.05
+
+    def test_sync_only_settles_after_the_ramp(self):
+        # with no couplings the phases sit still until SHIL switches on
+        graph = random_colorable_graph(40, 90, seed=6)
+        sync = ablate(graph, FAST, SCHED, AblationMode.SYNC_ONLY, iterations=5, base_seed=0)
+        assert all(SCHED.ramp_end <= r.cycles < FAST.t_max for r in sync.runs)
 
     def test_full_beats_sync_only(self):
         graph = random_colorable_graph(40, 90, seed=6)
