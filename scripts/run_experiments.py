@@ -8,9 +8,9 @@ Produces:
   results/detune_sweep.csv       mean lattice deviation vs SHIL detuning rate
   results/landscape_k3.csv       a small exhaustive landscape for plotting
 
-Accuracy histograms for each report can be exported afterwards with
-`pottsim.histogram_csv`.  Runtime at the default 100 iterations is roughly
-ten minutes on two cores; use --iters 20 for a quick pass.
+Each JSON report carries its accuracy histogram.  Runtime at the default 100
+iterations is roughly ten minutes on two cores; use --iters 20 for a quick
+pass.
 """
 from __future__ import annotations
 

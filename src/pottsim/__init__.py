@@ -39,18 +39,15 @@ from .solver import (
     detune_protocol_params,
     detune_sweep,
     effective_config,
-    histogram_csv,
     report_csv,
     report_json,
     solve_multi,
     solve_once,
 )
 from .oracle import (
-    ColorSearchResult,
     Landscape,
     count_proper_colorings,
     enumerate_landscape,
-    exact_color,
     landscape_csv,
 )
 

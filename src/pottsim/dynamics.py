@@ -16,9 +16,10 @@ oscillator cycles.
 """
 from __future__ import annotations
 
+import dataclasses
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -33,6 +34,11 @@ CHECKPOINT_STRIDE = 0.5
 # (see SettleDetector).
 CONVERGENCE_WINDOW = 5
 CONVERGENCE_EPS = 1e-3
+# RK4's stability interval on the negative real axis (Hairer & Wanner,
+# Solving ODEs II, sec. IV.2).  At a lattice point with the couplings off the
+# SHIL term's Jacobian is -n_phases * K_s, so a step with
+# dt * n_phases * K_s beyond it is unstable for certain.
+RK4_REAL_STABILITY = 2.78
 
 
 class IntegrationDivergedError(RuntimeError):
@@ -67,6 +73,11 @@ class DynamicsParams:
             raise ValueError("detuning must be finite")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
+        if self.dt * self.n_phases * self.shil_gain_max > RK4_REAL_STABILITY:
+            raise ValueError(
+                f"dt * n_phases * shil_gain_max = {self.dt * self.n_phases * self.shil_gain_max:g} "
+                f"exceeds RK4's stability limit {RK4_REAL_STABILITY} (reduce dt or the SHIL gain)"
+            )
         if not np.isfinite(self.t_max) or self.t_max < 0:
             raise ValueError("t_max must be finite and >= 0")
 
@@ -171,19 +182,27 @@ def _rhs_core(
     t: float,
     u: np.ndarray,
     v: np.ndarray,
-    n: int,
     coupling_gain: float,
     shil_gain_now: float,
     n_phases: int,
-    detuning: float,
+    detuning: float | np.ndarray,
 ) -> np.ndarray:
+    """Phase velocities of one run (a vector) or of a block of runs (one per row).
+
+    `u` and `v` index the flattened phases, so in a block each row's edges are
+    offset by its row times the vertex count.  Every bincount bin then sums
+    its terms in edge order, and a row's velocities have the same bits as the
+    run's on its own.  `detuning` is a number or a column of one rate per row.
+    """
     s = np.sin(theta)
     c = np.cos(theta)
+    sf, cf = s.ravel(), c.ravel()
+    size = theta.size
     # sum_j sin(theta_i - theta_j) expanded so each edge costs two bincounts
     # instead of a scatter-add
-    ac = np.bincount(u, c[v], minlength=n) + np.bincount(v, c[u], minlength=n)
-    as_ = np.bincount(u, s[v], minlength=n) + np.bincount(v, s[u], minlength=n)
-    out = coupling_gain * (s * ac - c * as_)
+    ac = np.bincount(u, cf[v], minlength=size) + np.bincount(v, cf[u], minlength=size)
+    as_ = np.bincount(u, sf[v], minlength=size) + np.bincount(v, sf[u], minlength=size)
+    out = coupling_gain * (s * ac.reshape(theta.shape) - c * as_.reshape(theta.shape))
     if shil_gain_now != 0.0:
         out -= shil_gain_now * np.sin(n_phases * theta - detuning * t)
     return out
@@ -204,10 +223,7 @@ def rhs(
     if shil_gain_now < 0:
         raise ValueError("shil_gain_now must be >= 0")
     u, v = graph.edge_arrays()
-    return _rhs_core(
-        state.phases, 0.0, u, v, graph.num_vertices,
-        coupling_gain, shil_gain_now, n_phases, 0.0,
-    )
+    return _rhs_core(state.phases, 0.0, u, v, coupling_gain, shil_gain_now, n_phases, 0.0)
 
 
 def random_init(n: int, seed: int) -> PhaseState:
@@ -226,48 +242,85 @@ def integrate(
     seed: int = 0,
     settle_exit: bool = False,
 ) -> Trajectory:
-    """Fixed-step RK4 integration of the phase dynamics.
+    """One run of `integrate_block`, with every checkpoint kept as its Trajectory."""
+    checkpoints: list[Checkpoint] = []
+    integrate_block(graph, [init], [params], schedule, [seed], settle_exit,
+                    record=lambda row, cp: checkpoints.append(cp))
+    return Trajectory(tuple(checkpoints), _checkpoint_steps(params.dt) * params.dt)
 
-    Additive noise of std ``noise_amplitude * sqrt(dt)`` per step when
-    enabled, drawn from a stream derived from ``seed`` so runs are
-    reproducible.  Phases are canonicalized to [0, 2*pi) after every step.
-    Checkpoints are recorded every round(CHECKPOINT_STRIDE / dt) steps and at
-    the last step; each carries the instantaneous Lyapunov value, the
-    rounded coloring and the max |dtheta/dt|.
 
-    The run ends at t_max, or with ``settle_exit`` at the first checkpoint at
-    which the machine has settled (see SettleDetector), provided the rest of
-    the run would be a fixed gradient flow: no noise, no detuning and an
-    envelope that is not a square wave.  The settle rule only counts from the
-    end of the ramp.
+def _checkpoint_steps(dt: float) -> int:
+    return max(1, int(round(CHECKPOINT_STRIDE / dt)))
 
-    Raises IntegrationDivergedError if any phase becomes non-finite, which
-    signals a step size too large for the configured gains.
+
+def integrate_block(
+    graph: Graph,
+    inits: Sequence[PhaseState],
+    params: Sequence[DynamicsParams],
+    schedule: ShilSchedule,
+    seeds: Sequence[int],
+    settle_exit: bool = False,
+    record: Optional[Callable[[int, Checkpoint], None]] = None,
+) -> list[tuple[Checkpoint, Optional[float]]]:
+    """Fixed-step RK4 integration of a block of runs in lockstep.
+
+    Row r starts from ``inits[r]`` with ``params[r]`` and ``seeds[r]``; rows
+    may differ only in their detuning.  The rows' phases form one (rows, n)
+    array, so a step costs the same numpy calls for any number of rows, and
+    each row's every step has the bits it has when the row runs alone.
+    Noise of std ``noise_amplitude * sqrt(dt)`` per step, when enabled, is
+    drawn from a stream derived from the row's seed.  Phases are
+    canonicalized to [0, 2*pi) after every step.  Checkpoints (the Lyapunov
+    value, the rounded coloring and max |dtheta/dt|) are taken every
+    round(CHECKPOINT_STRIDE / dt) steps and at the last step, and passed to
+    ``record(r, checkpoint)`` when given.
+
+    A row settles at the first checkpoint that satisfies SettleDetector's
+    rule from the end of the ramp.  It runs to t_max, or with
+    ``settle_exit`` leaves the block once settled, provided the rest of its
+    run would be a fixed gradient flow: no noise, no detuning and an
+    envelope that is not a square wave.  Returns each row's last checkpoint
+    and settle time (None if unsettled).  Raises IntegrationDivergedError,
+    naming the row's seed, if a phase becomes non-finite, which signals a
+    step size too large for the gains.
     """
-    if len(init) != graph.num_vertices:
-        raise ValueError("initial state length does not match graph")
-    u, v = graph.edge_arrays()
     n = graph.num_vertices
-    kc = params.coupling_gain
-    ks_max = params.shil_gain_max
-    nph = params.n_phases
-    delta = params.detuning
-    dt = params.dt
+    if not len(inits) == len(params) == len(seeds) >= 1:
+        raise ValueError("a block needs one init, params and seed per row")
+    if any(len(init) != n for init in inits):
+        raise ValueError("initial state length does not match graph")
+    base = dataclasses.replace(params[0], detuning=0.0)
+    if any(dataclasses.replace(p, detuning=0.0) != base for p in params):
+        raise ValueError("the rows of a block may differ only in their detuning")
+    u, v = graph.edge_arrays()
+    num_edges = len(u)
+    # edge endpoints of every row in the flattened (rows, n) phase array
+    offsets = n * np.arange(len(seeds))[:, None]
+    block_u, block_v = (u + offsets).ravel(), (v + offsets).ravel()
+    kc, ks_max, nph, dt = base.coupling_gain, base.shil_gain_max, base.n_phases, base.dt
+    steps = int(round(base.t_max / dt))
+    ckpt_every = _checkpoint_steps(dt)
+    noise = base.noise_amplitude
+    rngs = [np.random.default_rng([seed, 1]) for seed in seeds] if noise > 0 else None
+    noise_std = noise * np.sqrt(dt)
+    exits = [settle_exit and noise == 0 and p.detuning == 0 and schedule.mode != "square"
+             for p in params]
+    settles = [SettleDetector(schedule.ramp_end) for _ in seeds]
+    settled_at: list[Optional[float]] = [None] * len(seeds)
+    last: list[Optional[Checkpoint]] = [None] * len(seeds)
+
+    # block indices of the rows still running, in the order of the arrays below
+    rows = np.arange(len(seeds))
+    detuning = np.array([[p.detuning] for p in params])
+    theta = np.stack([init.phases for init in inits])
 
     def f(theta: np.ndarray, t: float) -> np.ndarray:
         ks_now = ks_max * schedule.envelope(t)
-        return _rhs_core(theta, t, u, v, n, kc, ks_now, nph, delta)
+        k = len(theta) * num_edges
+        return _rhs_core(theta, t, block_u[:k], block_v[:k], kc, ks_now, nph, detuning)
 
-    steps = int(round(params.t_max / dt))
-    ckpt_every = max(1, int(round(CHECKPOINT_STRIDE / dt)))
-    noise = params.noise_amplitude
-    rng = np.random.default_rng([seed, 1]) if noise > 0 else None
-    noise_std = noise * np.sqrt(dt)
-    fixed_flow = noise == 0 and delta == 0 and schedule.mode != "square"
-    settle = SettleDetector(schedule.ramp_end) if settle_exit and fixed_flow else None
-
-    def checkpoint(theta: np.ndarray, t: float, rate: np.ndarray) -> Checkpoint:
-        state = PhaseState(theta)
+    def checkpoint(phases: np.ndarray, t: float, rate: np.ndarray) -> Checkpoint:
+        state = PhaseState(phases)
         ks_now = ks_max * schedule.envelope(t)
         return Checkpoint(
             time=t,
@@ -277,35 +330,52 @@ def integrate(
             max_rate=float(np.max(np.abs(rate))),
         )
 
-    theta = init.phases.copy()
+    def take_checkpoints(t: float, rates: np.ndarray) -> list[int]:
+        """Checkpoint every running row; the positions of those that end here."""
+        ends = []
+        for k, r in enumerate(rows):
+            cp = last[r] = checkpoint(theta[k], t, rates[k])
+            if record is not None:
+                record(r, cp)
+            if settled_at[r] is None and settles[r].push(cp):
+                settled_at[r] = t
+                if exits[r]:
+                    ends.append(k)
+        return ends
+
     # overflow to inf is caught by the isfinite check below, so silence the
     # intermediate numpy warnings it would spray first
     with np.errstate(over="ignore", invalid="ignore"):
         k1 = f(theta, 0.0)
-        checkpoints = [checkpoint(theta, 0.0, k1)]
-        if settle is not None:
-            settle.push(checkpoints[0])
+        ends = take_checkpoints(0.0, k1)
         for i in range(steps):
+            if ends:
+                keep = np.ones(len(rows), dtype=bool)
+                keep[ends] = False
+                rows, detuning, theta, k1 = rows[keep], detuning[keep], theta[keep], k1[keep]
+                if not len(rows):
+                    break
+                ends = []
             t = i * dt
             k2 = f(theta + 0.5 * dt * k1, t + 0.5 * dt)
             k3 = f(theta + 0.5 * dt * k2, t + 0.5 * dt)
             k4 = f(theta + dt * k3, t + dt)
             theta = theta + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if rng is not None:
-                theta = theta + rng.normal(0.0, noise_std, n)
+            if rngs is not None:
+                theta = theta + np.stack([rngs[r].normal(0.0, noise_std, n) for r in rows])
             theta %= TWO_PI
             t_next = (i + 1) * dt
-            if not np.all(np.isfinite(theta)):
+            if not np.isfinite(theta).all():
+                seed = seeds[rows[np.argmin(np.isfinite(theta).all(axis=1))]]
                 raise IntegrationDivergedError(
-                    f"non-finite phase at t={t_next:g} cycles (reduce dt or the gains)"
+                    f"run with seed {seed}: non-finite phase at t={t_next:g} cycles "
+                    "(reduce dt or the gains)"
                 )
             # the next step's k1 is also the velocity a checkpoint here reports
             k1 = f(theta, t_next)
             if (i + 1) % ckpt_every == 0 or i + 1 == steps:
-                checkpoints.append(checkpoint(theta, t_next, k1))
-                if settle is not None and settle.push(checkpoints[-1]):
-                    break
-    return Trajectory(tuple(checkpoints), ckpt_every * dt)
+                ends = take_checkpoints(t_next, k1)
+    return list(zip(last, settled_at))
 
 
 def detect_convergence(trajectory: Trajectory, settle_from: float) -> Optional[float]:

@@ -1,19 +1,17 @@
-"""Ground-truth machinery: exhaustive landscape enumeration and exact coloring.
+"""Ground-truth machinery: exhaustive landscape enumeration and exact counts.
 
 All routines here are independent of the phase dynamics and serve as its
-reference: brute-force enumeration of every lattice configuration, an exact
-backtracking K-colorer, and exact proper-coloring counting.
+reference: brute-force enumeration of every lattice configuration and exact
+proper-coloring counting.
 """
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .graph_io import Graph
-from .potts import Coloring, TWO_PI
+from .potts import TWO_PI
 
 ENUMERATION_GUARD = 10_000_000
 _CHUNK = 1 << 16
@@ -112,88 +110,6 @@ def count_proper_colorings(graph: Graph, k: int) -> int:
             proper &= spins[:, u[e]] != spins[:, v[e]]
         total += int(np.count_nonzero(proper))
     return total
-
-
-@dataclass(frozen=True)
-class ColorSearchResult:
-    """Outcome of the exact colorer: sat with a witness, unsat, or budget out."""
-
-    status: str  # "sat" | "unsat" | "budget_exhausted"
-    coloring: Optional[Coloring]
-    nodes_expanded: int
-
-
-def exact_color(graph: Graph, k: int, budget: int = 2_000_000) -> ColorSearchResult:
-    """Exact k-coloring by backtracking with saturation-degree ordering.
-
-    Branches on the uncolored vertex with the most distinctly colored
-    neighbours (ties by degree), and only tries one unused color per level to
-    prune color permutations.  `budget` caps node expansions so pathological
-    instances fail loudly ("budget_exhausted") instead of hanging; that
-    outcome is distinct from a proven "unsat".
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    n = graph.num_vertices
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for a, b in graph.edges:
-        adj[a].add(int(b))
-        adj[b].add(int(a))
-
-    colors = np.full(n, -1, dtype=np.int64)
-    neighbour_colors: list[set[int]] = [set() for _ in range(n)]
-    expanded = 0
-
-    def pick() -> int:
-        best, best_key = -1, (-1, -1)
-        for vtx in range(n):
-            if colors[vtx] >= 0:
-                continue
-            key = (len(neighbour_colors[vtx]), len(adj[vtx]))
-            if key > best_key:
-                best, best_key = vtx, key
-        return best
-
-    def search(num_colored: int, max_used: int) -> Optional[bool]:
-        """True = sat, False = exhausted subtree, None = budget hit."""
-        nonlocal expanded
-        if num_colored == n:
-            return True
-        expanded += 1
-        if expanded > budget:
-            return None
-        vtx = pick()
-        for color in range(min(max_used + 1, k)):
-            if color in neighbour_colors[vtx]:
-                continue
-            colors[vtx] = color
-            touched = []
-            for nbr in adj[vtx]:
-                if colors[nbr] < 0 and color not in neighbour_colors[nbr]:
-                    neighbour_colors[nbr].add(color)
-                    touched.append(nbr)
-            result = search(num_colored + 1, max(max_used, color + 1))
-            if result:
-                return True
-            for nbr in touched:
-                neighbour_colors[nbr].discard(color)
-            colors[vtx] = -1
-            if result is None:
-                return None
-        return False
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, n + 1000))
-    try:
-        outcome = search(0, 0)
-    finally:
-        sys.setrecursionlimit(old_limit)
-
-    if outcome:
-        return ColorSearchResult("sat", Coloring(colors, max(k, 2)), expanded)
-    if outcome is None:
-        return ColorSearchResult("budget_exhausted", None, expanded)
-    return ColorSearchResult("unsat", None, expanded)
 
 
 def landscape_csv(landscape: Landscape) -> str:

@@ -26,10 +26,13 @@ from .dynamics import (
     ShilSchedule,
     detect_convergence,
     integrate,
+    integrate_block,
     random_init,
 )
 from .graph_io import Graph
 from .potts import (
+    Coloring,
+    PhaseState,
     accuracy,
     delta_energy,
     lattice_deviation,
@@ -39,6 +42,13 @@ from .potts import (
 )
 
 HISTOGRAM_BINS = 100
+# Restarts per lockstep block (dynamics.integrate_block).  The rows of a block
+# share the per-call overhead that dominates a small graph's RHS.  Restarts
+# per CPU second against R = 1 (2 vCPUs): 1.9x at R = 20 on flat_200, no more
+# at R = 40; 1.2-1.4x at R = 20 on a 500-vertex graph; none at R = 2-8 on
+# rnd_1000, whose RHS is bound by arithmetic.
+LOCKSTEP_ROWS = 20
+LOCKSTEP_MAX_VERTICES = 500
 # Percentile bootstrap: resamples per interval and two-sided coverage.
 BOOTSTRAP_RESAMPLES = 1000
 BOOTSTRAP_CONFIDENCE = 0.95
@@ -124,46 +134,48 @@ def config_to_settings(cfg: dict) -> tuple[DynamicsParams, ShilSchedule, int, in
     )
 
 
+def _record(graph: Graph, seed: int, coloring: Coloring, state: PhaseState,
+            cycles: Optional[float]) -> RunRecord:
+    return RunRecord(
+        seed=seed,
+        accuracy=accuracy(graph, coloring),
+        delta_energy=delta_energy(graph, coloring),
+        vector_energy=vector_energy(graph, state),
+        cycles=cycles,
+    )
+
+
 def solve_once(
     graph: Graph,
     params: DynamicsParams,
     schedule: ShilSchedule,
     seed: int,
 ) -> RunRecord:
-    """One machine run: random init, integrate until settled (or to t_max),
-    quantize, score.  `vector_energy` is read at the exit state."""
+    """One machine run on its own: random init, integrate until settled (or
+    to t_max), quantize, score.  `vector_energy` is read at the exit state,
+    and `cycles` is replayed from the whole trajectory.  The solve commands
+    step their restarts in blocks (`_run_task`) and give the same record."""
     init = random_init(graph.num_vertices, seed)
     traj = integrate(graph, init, params, schedule, seed=seed, settle_exit=True)
-    final = traj.final
-    coloring = final.coloring
-    return RunRecord(
-        seed=seed,
-        accuracy=accuracy(graph, coloring),
-        delta_energy=delta_energy(graph, coloring),
-        vector_energy=vector_energy(graph, final.state),
-        cycles=detect_convergence(traj, schedule.ramp_end),
-    )
+    cycles = detect_convergence(traj, schedule.ramp_end)
+    return _record(graph, seed, traj.final.coloring, traj.final.state, cycles)
 
 
-def _quantized_init_record(graph: Graph, n_phases: int, seed: int) -> RunRecord:
-    coloring = quantize(random_init(graph.num_vertices, seed), n_phases)
-    return RunRecord(
-        seed=seed,
-        accuracy=accuracy(graph, coloring),
-        delta_energy=delta_energy(graph, coloring),
-        vector_energy=vector_energy(graph, lattice_state(coloring)),
-        cycles=None,
-    )
-
-
-def _run_task(args) -> RunRecord:
-    graph, params, schedule, seed, mode = args
-    try:
-        if mode is AblationMode.NONE:
-            return _quantized_init_record(graph, params.n_phases, seed)
-        return solve_once(graph, params, schedule, seed)
-    except Exception as exc:
-        raise type(exc)(f"run with seed {seed} failed: {exc}") from exc
+def _run_task(block: Sequence[tuple]) -> list[RunRecord]:
+    """Restarts (graph, params, schedule, seed, mode) that share graph,
+    schedule and mode, stepped in lockstep until each has settled (or to
+    t_max); records in block order.  Mode none scores each quantized
+    initial state instead."""
+    graph, _, schedule, _, mode = block[0]
+    seeds = [task[3] for task in block]
+    inits = [random_init(graph.num_vertices, seed) for seed in seeds]
+    if mode is AblationMode.NONE:
+        colorings = [quantize(init, task[1].n_phases) for init, task in zip(inits, block)]
+        return [_record(graph, seed, c, lattice_state(c), None) for seed, c in zip(seeds, colorings)]
+    ends = integrate_block(graph, inits, [task[1] for task in block], schedule, seeds,
+                           settle_exit=True)
+    return [_record(graph, seed, final.coloring, final.state, cycles)
+            for seed, (final, cycles) in zip(seeds, ends)]
 
 
 def _params_for_mode(params: DynamicsParams, mode: Optional[AblationMode]) -> DynamicsParams:
@@ -193,22 +205,30 @@ def _aggregate(
     )
 
 
-def _run_batch(task, args: Sequence[tuple], jobs: int) -> list:
-    """Run `task` over `args` serially or on one pool of `jobs` workers.
+def _run_batch(task, args: Sequence[tuple], jobs: int, num_vertices: int) -> list:
+    """Run `task` over contiguous blocks of `args`, serially or on one pool
+    of `jobs` workers, and return its results in the order of `args`
+    whatever the worker count, so a report never depends on `--jobs`.
 
-    Results come back in the order of `args` whatever the worker count, so a
-    report never depends on `--jobs`.  Tasks are dealt out one at a time: a
-    restart takes far longer than its dispatch, and larger chunks leave
-    workers idle at the end of a batch.
+    A block holds at most LOCKSTEP_ROWS tasks, or one on a graph of more
+    than LOCKSTEP_MAX_VERTICES.  Block sizes differ by at most one, and
+    their number is a multiple of `jobs` when there are enough tasks, so
+    the workers get equal row counts.  Blocks are dealt out one at a time.
     """
     if len(args) < 1:
         raise ValueError("iterations must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
+    rows = LOCKSTEP_ROWS if num_vertices <= LOCKSTEP_MAX_VERTICES else 1
+    count = min(len(args), jobs * -(-len(args) // (jobs * rows)))
+    bounds = [len(args) * k // count for k in range(count + 1)]
+    blocks = [args[a:b] for a, b in zip(bounds, bounds[1:])]
     if jobs == 1:
-        return [task(a) for a in args]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(task, args))
+        results = [task(b) for b in blocks]
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(task, blocks))
+    return [r for block in results for r in block]
 
 
 def _solve(
@@ -223,7 +243,7 @@ def _solve(
 ) -> SolveReport:
     run_params = _params_for_mode(params, mode)
     tasks = [(graph, run_params, schedule, base_seed + i, mode) for i in range(iterations)]
-    records = _run_batch(_run_task, tasks, jobs)
+    records = _run_batch(_run_task, tasks, jobs, graph.num_vertices)
     cfg = effective_config(params, schedule, iterations, base_seed, mode=mode)
     return _aggregate(benchmark, cfg, records)
 
@@ -265,15 +285,19 @@ def detune_protocol_params() -> DynamicsParams:
     return DynamicsParams(shil_gain_max=DETUNE_SHIL_GAIN, dt=DETUNE_DT, t_max=DETUNE_T_MAX)
 
 
-def _detune_task(args) -> float:
-    graph, params, schedule, seed = args
-    init = random_init(graph.num_vertices, seed)
-    # every row of a sweep is read at the same horizon
-    traj = integrate(graph, init, params, schedule, seed=seed, settle_exit=False)
-    final = traj.final
-    dev = lattice_deviation(final.state, params.n_phases,
-                            offset=params.detuning * final.time)
-    return float(np.mean(dev))
+def _detune_task(block: Sequence[tuple]) -> list[float]:
+    """Mean lattice deviation (radians) at t_max of restarts (graph, params,
+    schedule, seed) that share graph and schedule, stepped in lockstep."""
+    graph, _, schedule, _ = block[0]
+    params = [task[1] for task in block]
+    seeds = [task[3] for task in block]
+    # no settle exit: every row of a sweep is read at the same horizon
+    inits = [random_init(graph.num_vertices, seed) for seed in seeds]
+    ends = integrate_block(graph, inits, params, schedule, seeds)
+    return [
+        float(np.mean(lattice_deviation(final.state, p.n_phases, offset=p.detuning * final.time)))
+        for p, (final, _) in zip(params, ends)
+    ]
 
 
 def detune_sweep(
@@ -299,7 +323,7 @@ def detune_sweep(
         for delta in deltas
         for i in range(iterations)
     ]
-    devs = _run_batch(_detune_task, tasks, jobs)
+    devs = _run_batch(_detune_task, tasks, jobs, graph.num_vertices)
     return [
         (float(delta), float(np.degrees(np.mean(devs[k * iterations:(k + 1) * iterations]))))
         for k, delta in enumerate(deltas)
@@ -353,13 +377,4 @@ def report_csv(report: SolveReport) -> str:
     for r in report.runs:
         cyc = "" if r.cycles is None else repr(r.cycles)
         rows.append(f"{r.seed},{repr(r.accuracy)},{repr(r.delta_energy)},{repr(r.vector_energy)},{cyc}")
-    return "\n".join(rows) + "\n"
-
-
-def histogram_csv(report: SolveReport) -> str:
-    """Accuracy histogram (bin width 0.01) as CSV for plotting."""
-    width = 1.0 / HISTOGRAM_BINS
-    rows = ["bin_low,bin_high,count"]
-    for i, count in enumerate(report.histogram):
-        rows.append(f"{repr(i * width)},{repr((i + 1) * width)},{count}")
     return "\n".join(rows) + "\n"

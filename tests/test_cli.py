@@ -226,6 +226,20 @@ class TestErrors:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, rc", [
+        (["solve", "--ks", "60"], 1),      # dt * n_phases * K_s = 0.02 * 3 * 60 = 3.6
+        (["detune", "--deltas", "0"], 0),  # the detune protocol: 0.008 * 3 * 60 = 1.44
+        (["solve"], 0),                    # the defaults: 0.02 * 3 * 2 = 0.12
+    ], ids=["unstable", "detune-protocol", "defaults"])
+    def test_rk4_bound_checked_before_running(self, tiny_col, tmp_path, capsys, argv, rc):
+        out = tmp_path / "r.out"
+        cmd, *flags = argv
+        assert main([cmd, str(tiny_col), *flags, "--iters", "1", "--t-max", "2",
+                     "--out", str(out)]) == rc
+        if rc:
+            assert "stability limit 2.78" in capsys.readouterr().err
+        assert out.exists() == (rc == 0)
+
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_rejected(self, tiny_col, tmp_path, capsys, jobs):
         out = tmp_path / "r.json"

@@ -9,11 +9,10 @@ from pottsim import (
     accuracy,
     count_proper_colorings,
     enumerate_landscape,
-    exact_color,
     landscape_csv,
 )
 
-from conftest import BENCH_DIR, load_benchmark, random_colorable_graph
+from conftest import random_colorable_graph
 
 
 class TestEnumerateLandscape:
@@ -82,44 +81,6 @@ class TestCountProperColorings:
     def test_size_guard(self):
         with pytest.raises(ValueError, match="guard"):
             count_proper_colorings(Graph(20, [(0, 1)]), 3)
-
-
-class TestExactColor:
-    def test_triangle_sat(self, k3):
-        result = exact_color(k3, 3)
-        assert result.status == "sat"
-        assert accuracy(k3, result.coloring) == 1.0
-
-    def test_k4_unsat_with_three(self, k4):
-        assert exact_color(k4, 3).status == "unsat"
-
-    def test_k4_sat_with_four(self, k4):
-        result = exact_color(k4, 4)
-        assert result.status == "sat"
-        assert accuracy(k4, result.coloring) == 1.0
-
-    def test_benchmark_instance_sat(self):
-        graph = load_benchmark("flat_50_115-1")
-        result = exact_color(graph, 3)
-        assert result.status == "sat"
-        assert accuracy(graph, result.coloring) == 1.0
-
-    def test_budget_exhaustion_is_not_unsat(self):
-        graph = load_benchmark("flat_50_115-1")
-        result = exact_color(graph, 3, budget=3)
-        assert result.status == "budget_exhausted"
-        assert result.coloring is None
-        assert result.nodes_expanded >= 3
-
-    def test_deterministic(self, k3):
-        a = exact_color(k3, 3)
-        b = exact_color(k3, 3)
-        assert np.array_equal(a.coloring.spins, b.coloring.spins)
-        assert a.nodes_expanded == b.nodes_expanded
-
-    def test_rejects_bad_k(self, k3):
-        with pytest.raises(ValueError):
-            exact_color(k3, 0)
 
 
 class TestCrossChecks:

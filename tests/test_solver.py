@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pottsim import (
     AblationMode,
@@ -21,7 +23,6 @@ from pottsim import (
     detune_protocol_params,
     detune_sweep,
     effective_config,
-    histogram_csv,
     integrate,
     random_init,
     report_csv,
@@ -30,8 +31,10 @@ from pottsim import (
     solve_once,
 )
 from pottsim import dynamics
+from pottsim.solver import _detune_task, _run_task
 
 from conftest import random_colorable_graph
+from strategies import graphs
 
 FAST = DynamicsParams(t_max=20.0)
 SCHED = ShilSchedule()
@@ -45,11 +48,10 @@ class TestSolveOnce:
         assert record.delta_energy == 0.0
 
     def test_k3_defaults_solve(self, k3):
-        solved = sum(
-            solve_once(k3, DynamicsParams(t_max=40.0), SCHED, seed=s).accuracy == 1.0
-            for s in range(100)
-        )
-        assert solved >= 95
+        # the 100 restarts run as one lockstep block
+        params = DynamicsParams(t_max=40.0)
+        records = _run_task([(k3, params, SCHED, s, None) for s in range(100)])
+        assert sum(r.accuracy == 1.0 for r in records) >= 95
 
     def test_settle_exit_scores_like_the_full_horizon(self):
         graph = random_colorable_graph(30, 66, seed=4)
@@ -67,6 +69,48 @@ class TestSolveOnce:
         a = solve_once(graph, FAST, SCHED, seed=3)
         b = solve_once(graph, FAST, SCHED, seed=3)
         assert a == b
+
+
+def split(tasks: list, cuts: list[int]) -> list[list]:
+    """Consecutive blocks of `tasks` whose sizes cycle through `cuts`."""
+    blocks, i = [], 0
+    while i < len(tasks):
+        size = cuts[len(blocks) % len(cuts)] if cuts else len(tasks)
+        blocks.append(tasks[i:i + size])
+        i += size
+    return blocks
+
+
+class TestLockstepBlocks:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        graph=graphs(max_vertices=8),
+        seeds=st.lists(st.integers(0, 10**6), min_size=1, max_size=6, unique=True),
+        cuts=st.lists(st.integers(1, 6), max_size=4),
+        noise=st.sampled_from([0.0, 0.3]),
+        detunings=st.lists(st.sampled_from([0.0, 1e-5, -2.0]), min_size=6, max_size=6),
+    )
+    def test_records_do_not_depend_on_the_block(self, graph, seeds, cuts, noise, detunings):
+        # each row alone is the reference: solve_once replays the settle rule
+        # over the run's whole trajectory
+        tasks = [
+            (graph, DynamicsParams(noise_amplitude=noise, detuning=d, t_max=14.0), SCHED, s, None)
+            for s, d in zip(seeds, detunings)
+        ]
+        blocks = split(tasks, cuts)
+        records = [r for block in blocks for r in _run_task(block)]
+        assert records == [solve_once(graph, t[1], SCHED, t[3]) for t in tasks]
+        devs = [d for block in blocks for d in _detune_task([t[:4] for t in block])]
+        assert devs == [_detune_task([t[:4]])[0] for t in tasks]
+
+    def test_diverged_row_fails_by_its_seed(self, k3):
+        # detuning * t overflows to inf near t = 1.06 in the middle row only
+        sched = ShilSchedule(t_on=0.0, ramp=0.0)
+        ok, bad = DynamicsParams(t_max=2.0), DynamicsParams(detuning=1.7e308, t_max=2.0)
+        block = [(k3, p, sched, seed, None) for p, seed in ((ok, 11), (bad, 12), (ok, 13))]
+        with pytest.raises(IntegrationDivergedError, match="seed 12"):
+            _run_task(block)
+        assert len(_run_task([block[0], block[2]])) == 2
 
 
 class TestSolveMulti:
@@ -198,12 +242,6 @@ class TestReports:
         assert lines[0].startswith("# ")
         assert lines[1] == "seed,accuracy,delta_energy,vector_energy,cycles"
         assert len(lines) == 2 + 5
-
-    def test_histogram_csv(self, report):
-        lines = histogram_csv(report).strip().split("\n")
-        assert lines[0] == "bin_low,bin_high,count"
-        assert len(lines) == 101
-        assert sum(int(ln.split(",")[2]) for ln in lines[1:]) == 5
 
     def test_config_round_trip(self, report):
         params, schedule, iterations, base_seed = config_to_settings(report.params)
