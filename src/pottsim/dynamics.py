@@ -42,7 +42,8 @@ RK4_REAL_STABILITY = 2.78
 
 
 class IntegrationDivergedError(RuntimeError):
-    """Phases became non-finite mid-run (step size too large for the gains)."""
+    """A run went unstable: its phases became non-finite, or its Lyapunov
+    value rose under a fixed gradient flow (step size too large for the gains)."""
 
 
 @dataclass(frozen=True)
@@ -71,8 +72,8 @@ class DynamicsParams:
                 raise ValueError(f"{name} must be finite and >= 0")
         if not np.isfinite(self.detuning):
             raise ValueError("detuning must be finite")
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < np.inf:
+            raise ValueError("dt must be finite and positive")
         if self.dt * self.n_phases * self.shil_gain_max > RK4_REAL_STABILITY:
             raise ValueError(
                 f"dt * n_phases * shil_gain_max = {self.dt * self.n_phases * self.shil_gain_max:g} "
@@ -98,13 +99,13 @@ class ShilSchedule:
     duty: float = 0.5
 
     def __post_init__(self):
-        if self.t_on < 0 or self.ramp < 0:
-            raise ValueError("t_on and ramp must be >= 0")
+        if not (0 <= self.t_on < np.inf and 0 <= self.ramp < np.inf):
+            raise ValueError("t_on and ramp must be finite and >= 0")
         if self.mode not in ("off", "constant", "square"):
             raise ValueError(f"unknown schedule mode {self.mode!r}")
         if self.mode == "square":
-            if not self.period > 0:
-                raise ValueError("square mode needs period > 0")
+            if not 0 < self.period < np.inf:
+                raise ValueError("square mode needs a finite period > 0")
             if not 0.0 <= self.duty <= 1.0:
                 raise ValueError("duty must lie in [0, 1]")
 
@@ -193,9 +194,17 @@ def _rhs_core(
     offset by its row times the vertex count.  Every bincount bin then sums
     its terms in edge order, and a row's velocities have the same bits as the
     run's on its own.  `detuning` is a number or a column of one rate per row.
+
+    One transcendental pass serves the whole call: with h = tan(theta / 2),
+    w = 2 / (1 + h^2) gives sin(theta) = h * w and cos(theta) = w - 1, and
+    sin(N * theta) = sin(theta) * U_{N-1}(cos(theta)) by the Chebyshev
+    recurrence U_k = 2 cos(theta) U_{k-1} - U_{k-2}.  A detuned row rotates
+    the SHIL term by delta * t with one sine and cosine per row.
     """
-    s = np.sin(theta)
-    c = np.cos(theta)
+    h = np.tan(0.5 * theta)
+    w = 2.0 / (1.0 + h * h)
+    s = h * w
+    c = w - 1.0
     sf, cf = s.ravel(), c.ravel()
     size = theta.size
     # sum_j sin(theta_i - theta_j) expanded so each edge costs two bincounts
@@ -204,7 +213,19 @@ def _rhs_core(
     as_ = np.bincount(u, sf[v], minlength=size) + np.bincount(v, sf[u], minlength=size)
     out = coupling_gain * (s * ac.reshape(theta.shape) - c * as_.reshape(theta.shape))
     if shil_gain_now != 0.0:
-        out -= shil_gain_now * np.sin(n_phases * theta - detuning * t)
+        two_c = c + c
+        u_prev, u_cur = 1.0, two_c  # U_0, U_1
+        for _ in range(n_phases - 2):
+            u_prev, u_cur = u_cur, two_c * u_cur - u_prev
+        shil = s * u_cur
+        if np.any(detuning):
+            # sin(N theta - delta t) = sin(N theta) cos(delta t) - cos(N theta) sin(delta t),
+            # with cos(N theta) = cos(theta) U_{N-1} - U_{N-2}; rows with no
+            # detuning keep sin(N theta) itself, whichever rows share the block
+            phase = detuning * t
+            rotated = shil * np.cos(phase) - (c * u_cur - u_prev) * np.sin(phase)
+            shil = np.where(detuning == 0, shil, rotated)
+        out -= shil_gain_now * shil
     return out
 
 
@@ -281,8 +302,11 @@ def integrate_block(
     run would be a fixed gradient flow: no noise, no detuning and an
     envelope that is not a square wave.  Returns each row's last checkpoint
     and settle time (None if unsettled).  Raises IntegrationDivergedError,
-    naming the row's seed, if a phase becomes non-finite, which signals a
-    step size too large for the gains.
+    naming the row's seed, if a phase becomes non-finite, or if a fixed
+    gradient flow's Lyapunov value rises by more than 1e-6 per edge and step
+    between two checkpoints while the envelope is constant (before t_on, or
+    from the end of the ramp on).  Both signal a step size too large for the
+    gains.
     """
     n = graph.num_vertices
     if not len(inits) == len(params) == len(seeds) >= 1:
@@ -303,8 +327,11 @@ def integrate_block(
     noise = base.noise_amplitude
     rngs = [np.random.default_rng([seed, 1]) for seed in seeds] if noise > 0 else None
     noise_std = noise * np.sqrt(dt)
-    exits = [settle_exit and noise == 0 and p.detuning == 0 and schedule.mode != "square"
-             for p in params]
+    # rows whose run is a fixed gradient flow, which descends the Lyapunov
+    # function while the envelope is constant
+    flows = [noise == 0 and p.detuning == 0 and schedule.mode != "square" for p in params]
+    exits = [settle_exit and flow for flow in flows]
+    rise_tol = 1e-6 * num_edges * ckpt_every
     settles = [SettleDetector(schedule.ramp_end) for _ in seeds]
     settled_at: list[Optional[float]] = [None] * len(seeds)
     last: list[Optional[Checkpoint]] = [None] * len(seeds)
@@ -334,7 +361,16 @@ def integrate_block(
         """Checkpoint every running row; the positions of those that end here."""
         ends = []
         for k, r in enumerate(rows):
+            prev = last[r]
             cp = last[r] = checkpoint(theta[k], t, rates[k])
+            if (flows[r] and prev is not None
+                    and (schedule.mode == "off" or t <= schedule.t_on or prev.time >= schedule.ramp_end)
+                    and cp.lyapunov > prev.lyapunov + rise_tol):
+                raise IntegrationDivergedError(
+                    f"run with seed {seeds[r]}: Lyapunov value rose from {prev.lyapunov:g} "
+                    f"to {cp.lyapunov:g} between t={prev.time:g} and t={t:g} cycles "
+                    "(reduce dt or the gains)"
+                )
             if record is not None:
                 record(r, cp)
             if settled_at[r] is None and settles[r].push(cp):

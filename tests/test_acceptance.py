@@ -7,7 +7,6 @@ fixtures (100-restart benchmark sweeps) are shared across criteria.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 
 import numpy as np

@@ -11,7 +11,7 @@ import pytest
 from pottsim import Coloring, accuracy, gen_planted, parse_dimacs, write_dimacs
 from pottsim.cli import main
 
-from conftest import random_colorable_graph
+from conftest import BENCH_DIR, random_colorable_graph
 
 
 @pytest.fixture
@@ -239,6 +239,27 @@ class TestErrors:
         if rc:
             assert "stability limit 2.78" in capsys.readouterr().err
         assert out.exists() == (rc == 0)
+
+    @pytest.mark.parametrize("flags", [
+        ["--t-on", "nan"], ["--t-on", "inf"], ["--ramp", "inf"], ["--dt", "inf", "--ks", "0"],
+    ], ids=["t-on-nan", "t-on-inf", "ramp-inf", "dt-inf"])
+    def test_non_finite_schedule_or_step_rejected(self, tiny_col, tmp_path, capsys, flags):
+        out = tmp_path / "r.json"
+        rc = main(["solve", str(tiny_col), *flags, "--iters", "1", "--out", str(out)])
+        assert rc == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_coupling_unstable_run_fails_by_its_seed(self, tmp_path, capsys):
+        # K_c = 40 passes the pre-run RK4 bound (it reads only K_s), but the
+        # couplings make every step overshoot on flat_200: its Lyapunov value
+        # rises within the first cycles while the phases stay finite
+        out = tmp_path / "r.json"
+        rc = main(["solve", str(BENCH_DIR / "flat_200_479-1.col"), "--kc", "40",
+                   "--iters", "1", "--seed", "7", "--t-max", "5", "--out", str(out)])
+        assert rc == 1
+        assert "run with seed 7: Lyapunov value rose" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_rejected(self, tiny_col, tmp_path, capsys, jobs):

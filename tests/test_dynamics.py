@@ -1,9 +1,9 @@
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pottsim import (
     Checkpoint,
@@ -20,13 +20,13 @@ from pottsim import (
     lattice_deviation,
     lattice_state,
     lyapunov,
-    quantize,
     random_init,
     rhs,
 )
-from pottsim.dynamics import CONVERGENCE_WINDOW, integrate_block
+from pottsim.dynamics import CONVERGENCE_WINDOW, _rhs_core, integrate_block
 
 from conftest import random_colorable_graph
+from strategies import graphs
 
 # chi-square critical value, 35 degrees of freedom, significance 0.01
 CHI2_35_99 = 57.342
@@ -64,6 +64,8 @@ class TestParamsValidation:
             {"shil_gain_max": np.inf},
             {"noise_amplitude": -1.0},
             {"detuning": np.nan},
+            {"dt": np.inf},
+            {"dt": np.nan},
             # dt * n_phases * shil_gain_max = 3.6, past RK4's real-axis limit
             {"shil_gain_max": 60.0},
         ):
@@ -79,6 +81,12 @@ class TestParamsValidation:
             ShilSchedule(mode="square", period=0.0)
         with pytest.raises(ValueError):
             ShilSchedule(mode="square", period=2.0, duty=1.5)
+        for kwargs in (
+            {"t_on": np.nan}, {"t_on": np.inf}, {"ramp": np.nan}, {"ramp": np.inf},
+            {"mode": "square", "period": np.inf}, {"mode": "square", "period": np.nan},
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                ShilSchedule(**kwargs)
 
 
 class TestEnvelope:
@@ -129,6 +137,41 @@ class TestRhs:
             kc, ks = float(rng.random() * 2), float(rng.random() * 3)
             vel = rhs(graph, state, kc, ks, n_phases)
             assert np.allclose(vel, -gradient_fd(graph, state, kc, ks, n_phases), atol=1e-6)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        graph=graphs(),
+        n_phases=st.integers(min_value=2, max_value=8),
+        gains=st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 60.0)),
+        t=st.floats(0.0, 10.0),
+        detunings=st.lists(st.sampled_from([1e-5, -2.0, 30.0, 300.0, -300.0]), max_size=3),
+        data=st.data(),
+    )
+    def test_core_matches_the_direct_formula(self, graph, n_phases, gains, t, detunings, data):
+        # rows of one block, at least one of them undetuned; phases outside
+        # [0, 2*pi) as in an RK4 stage state, and at the half-angle
+        # tangent's pole pi
+        detunings.insert(data.draw(st.integers(0, len(detunings))), 0.0)
+        n, rows = graph.num_vertices, len(detunings)
+        phase = st.one_of(st.floats(-20.0, 20.0), st.sampled_from([np.pi, -np.pi, 3 * np.pi]))
+        theta = np.array(data.draw(st.lists(phase, min_size=n * rows, max_size=n * rows)))
+        theta = theta.reshape(rows, n)
+        kc, ks = gains
+        u, v = graph.edge_arrays()
+        offsets = n * np.arange(rows)[:, None]
+        column = np.array(detunings)[:, None]
+        got = _rhs_core(theta, t, (u + offsets).ravel(), (v + offsets).ravel(),
+                        kc, ks, n_phases, column)
+        want = -ks * np.sin(n_phases * theta - column * t)
+        for a, b in zip(u, v):
+            want[:, a] += kc * np.sin(theta[:, a] - theta[:, b])
+            want[:, b] += kc * np.sin(theta[:, b] - theta[:, a])
+        degree = np.bincount(np.concatenate([u, v]), minlength=n).max(initial=0)
+        assert np.max(np.abs(got - want)) <= 1e-12 * (kc * max(degree, 1) + ks)
+        # a row has the bits it has alone, whatever rows share its block
+        for r, delta in enumerate(detunings):
+            alone = _rhs_core(theta[r], t, u, v, kc, ks, n_phases, delta)
+            assert np.array_equal(got[r], alone)
 
     def test_rejects_negative_shil(self, single_edge):
         with pytest.raises(ValueError):
@@ -184,6 +227,65 @@ class TestIntegrate:
                 constant_envelope = b.time <= sched.t_on or a.time >= sched.t_on + sched.ramp
                 if constant_envelope:
                     assert b.lyapunov <= a.lyapunov + tol
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        graph=graphs().filter(lambda g: g.num_edges > 0),
+        kc=st.floats(0.0, 40.0),
+        ks_share=st.floats(0.0, 0.99),
+        n_phases=st.integers(min_value=2, max_value=4),
+        dt=st.floats(0.005, 0.1),
+        # the first two switch the SHIL on, the last two leave the couplings
+        # alone to t_max
+        sched=st.sampled_from([ShilSchedule(t_on=1.0, ramp=1.0), ShilSchedule(t_on=0.0, ramp=0.0),
+                               ShilSchedule(t_on=8.0, ramp=1.0),
+                               ShilSchedule(t_on=0.0, ramp=10.0, mode="off")]),
+        seed=st.integers(0, 1000),
+    )
+    def test_unflagged_flow_descends_lyapunov(self, graph, kc, ks_share, n_phases, dt, sched, seed):
+        # a fixed gradient flow that is not flagged as diverged has a
+        # non-increasing Lyapunov value wherever the envelope is constant,
+        # within test_lyapunov_descends_without_noise's tolerance
+        ks = ks_share * 2.78 / (dt * n_phases)
+        params = DynamicsParams(coupling_gain=kc, shil_gain_max=ks, n_phases=n_phases,
+                                dt=dt, t_max=6.0)
+        try:
+            traj = integrate(graph, random_init(graph.num_vertices, seed), params, sched, seed=seed)
+        except IntegrationDivergedError as err:
+            assert f"seed {seed}:" in str(err)
+            return
+        tol = 1e-6 * graph.num_edges * int(round(traj.stride / dt))
+        for a, b in zip(traj.checkpoints, traj.checkpoints[1:]):
+            if sched.mode == "off" or b.time <= sched.t_on or a.time >= sched.ramp_end:
+                assert b.lyapunov <= a.lyapunov + tol
+
+    @pytest.mark.parametrize("sched", [
+        ShilSchedule(),
+        ShilSchedule(t_on=0.0, ramp=0.0),
+        ShilSchedule(t_on=0.0, ramp=20.0, mode="off"),
+    ], ids=["before-t_on", "after-ramp", "off"])
+    def test_rising_lyapunov_raises_with_seed(self, k4, sched):
+        # K_c = 40 at dt = 0.05: the couplings alone overshoot every step,
+        # yet the phases stay finite because they are wrapped mod 2*pi
+        params = DynamicsParams(coupling_gain=40.0, dt=0.05, t_max=10.0)
+        with pytest.raises(IntegrationDivergedError, match="seed 3: Lyapunov value rose"):
+            integrate(k4, random_init(4, seed=3), params, sched, seed=3)
+
+    @pytest.mark.parametrize("params, sched", [
+        (DynamicsParams(noise_amplitude=0.3, t_max=30.0), ShilSchedule()),
+        (DynamicsParams(detuning=0.5, t_max=30.0), ShilSchedule()),
+        (DynamicsParams(t_max=30.0), ShilSchedule(mode="square", period=2.0, duty=0.5)),
+    ], ids=["noise", "detuning", "square"])
+    def test_rise_check_needs_a_fixed_gradient_flow(self, params, sched):
+        # noise kicks, the rotating lattice and the square gate each raise
+        # the Lyapunov value of a stable run, so these runs are not checked
+        graph = random_colorable_graph(20, 40, seed=5)
+        traj = integrate(graph, random_init(20, 1), params, sched, seed=1)
+        assert traj.final.time == pytest.approx(params.t_max)
+        tol = 1e-6 * graph.num_edges * int(round(traj.stride / params.dt))
+        assert any(b.lyapunov > a.lyapunov + tol
+                   for a, b in zip(traj.checkpoints, traj.checkpoints[1:])
+                   if a.time >= sched.ramp_end)
 
     def test_equivariant_under_lattice_rotation(self):
         graph = random_colorable_graph(12, 24, seed=2)
