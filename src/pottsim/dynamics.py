@@ -214,17 +214,16 @@ def _rhs_core(
     out = coupling_gain * (s * ac.reshape(theta.shape) - c * as_.reshape(theta.shape))
     if shil_gain_now != 0.0:
         two_c = c + c
-        u_prev, u_cur = 1.0, two_c  # U_0, U_1
+        # (U_{N-2}, U_{N-1}) from U_{-1} = 0, U_0 = 1 and U_1 = 2 cos(theta)
+        u_prev, u_cur = (0.0, 1.0) if n_phases == 1 else (1.0, two_c)
         for _ in range(n_phases - 2):
             u_prev, u_cur = u_cur, two_c * u_cur - u_prev
         shil = s * u_cur
         if np.any(detuning):
             # sin(N theta - delta t) = sin(N theta) cos(delta t) - cos(N theta) sin(delta t),
-            # with cos(N theta) = cos(theta) U_{N-1} - U_{N-2}; rows with no
-            # detuning keep sin(N theta) itself, whichever rows share the block
+            # with cos(N theta) = cos(theta) U_{N-1} - U_{N-2}
             phase = detuning * t
-            rotated = shil * np.cos(phase) - (c * u_cur - u_prev) * np.sin(phase)
-            shil = np.where(detuning == 0, shil, rotated)
+            shil = shil * np.cos(phase) - (c * u_cur - u_prev) * np.sin(phase)
         out -= shil_gain_now * shil
     return out
 
@@ -363,8 +362,10 @@ def integrate_block(
         for k, r in enumerate(rows):
             prev = last[r]
             cp = last[r] = checkpoint(theta[k], t, rates[k])
+            # the envelope is 0 on [0, t_on), and at t_on it is already 1
+            # when the ramp is 0
             if (flows[r] and prev is not None
-                    and (schedule.mode == "off" or t <= schedule.t_on or prev.time >= schedule.ramp_end)
+                    and (schedule.mode == "off" or t < schedule.t_on or prev.time >= schedule.ramp_end)
                     and cp.lyapunov > prev.lyapunov + rise_tol):
                 raise IntegrationDivergedError(
                     f"run with seed {seeds[r]}: Lyapunov value rose from {prev.lyapunov:g} "

@@ -261,6 +261,16 @@ class TestErrors:
         assert "run with seed 7: Lyapunov value rose" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_ramp_free_onset_is_not_a_divergence(self, tmp_path):
+        # with --ramp 0 the SHIL well switches on whole at t_on = 5, a
+        # checkpoint time, and may raise the Lyapunov value there; the flow
+        # itself is stable
+        out = tmp_path / "r.json"
+        rc = main(["solve", str(BENCH_DIR / "flat_200_479-1.col"), "--ramp", "0",
+                   "--iters", "4", "--out", str(out)])
+        assert rc == 0
+        assert out.exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_rejected(self, tiny_col, tmp_path, capsys, jobs):
         out = tmp_path / "r.json"
