@@ -186,32 +186,38 @@ def _rhs_core(
     coupling_gain: float,
     shil_gain_now: float,
     n_phases: int,
-    detuning: float | np.ndarray,
+    detuning: float | np.ndarray | None,
 ) -> np.ndarray:
     """Phase velocities of one run (a vector) or of a block of runs (one per row).
 
     `u` and `v` index the flattened phases, so in a block each row's edges are
     offset by its row times the vertex count.  Every bincount bin then sums
     its terms in edge order, and a row's velocities have the same bits as the
-    run's on its own.  `detuning` is a number or a column of one rate per row.
+    run's on its own.  `detuning` is a number, a column of one rate per row,
+    or None when no row is detuned.
 
     One transcendental pass serves the whole call: with h = tan(theta / 2),
     w = 2 / (1 + h^2) gives sin(theta) = h * w and cos(theta) = w - 1, and
     sin(N * theta) = sin(theta) * U_{N-1}(cos(theta)) by the Chebyshev
-    recurrence U_k = 2 cos(theta) U_{k-1} - U_{k-2}.  A detuned row rotates
-    the SHIL term by delta * t with one sine and cosine per row.
+    recurrence U_k = 2 cos(theta) U_{k-1} - U_{k-2}.  Each edge (u, v) then
+    costs one sin(theta_u - theta_v) = s_u c_v - c_u s_v, added to u's bin
+    and subtracted from v's.  A detuned row rotates the SHIL term by
+    delta * t with one sine and cosine per row.
     """
     h = np.tan(0.5 * theta)
     w = 2.0 / (1.0 + h * h)
     s = h * w
     c = w - 1.0
     sf, cf = s.ravel(), c.ravel()
-    size = theta.size
-    # sum_j sin(theta_i - theta_j) expanded so each edge costs two bincounts
-    # instead of a scatter-add
-    ac = np.bincount(u, cf[v], minlength=size) + np.bincount(v, cf[u], minlength=size)
-    as_ = np.bincount(u, sf[v], minlength=size) + np.bincount(v, sf[u], minlength=size)
-    out = coupling_gain * (s * ac.reshape(theta.shape) - c * as_.reshape(theta.shape))
+    # in place: at most three edge-length arrays are alive at once
+    d = sf[u]
+    d *= cf[v]
+    d_minus = cf[u]
+    d_minus *= sf[v]
+    d -= d_minus
+    coupling = np.bincount(u, d, minlength=theta.size)
+    coupling -= np.bincount(v, d, minlength=theta.size)
+    out = coupling_gain * coupling.reshape(theta.shape)
     if shil_gain_now != 0.0:
         two_c = c + c
         # (U_{N-2}, U_{N-1}) from U_{-1} = 0, U_0 = 1 and U_1 = 2 cos(theta)
@@ -219,7 +225,7 @@ def _rhs_core(
         for _ in range(n_phases - 2):
             u_prev, u_cur = u_cur, two_c * u_cur - u_prev
         shil = s * u_cur
-        if np.any(detuning):
+        if detuning is not None:
             # sin(N theta - delta t) = sin(N theta) cos(delta t) - cos(N theta) sin(delta t),
             # with cos(N theta) = cos(theta) U_{N-1} - U_{N-2}
             phase = detuning * t
@@ -243,7 +249,7 @@ def rhs(
     if shil_gain_now < 0:
         raise ValueError("shil_gain_now must be >= 0")
     u, v = graph.edge_arrays()
-    return _rhs_core(state.phases, 0.0, u, v, coupling_gain, shil_gain_now, n_phases, 0.0)
+    return _rhs_core(state.phases, 0.0, u, v, coupling_gain, shil_gain_now, n_phases, None)
 
 
 def random_init(n: int, seed: int) -> PhaseState:
@@ -337,7 +343,10 @@ def integrate_block(
 
     # block indices of the rows still running, in the order of the arrays below
     rows = np.arange(len(seeds))
-    detuning = np.array([[p.detuning] for p in params])
+    # only fixed gradient flows leave a block early, so a block with a
+    # detuned row keeps one to the end
+    detuned = any(p.detuning != 0 for p in params)
+    detuning = np.array([[p.detuning] for p in params]) if detuned else None
     theta = np.stack([init.phases for init in inits])
 
     def f(theta: np.ndarray, t: float) -> np.ndarray:
@@ -389,7 +398,9 @@ def integrate_block(
             if ends:
                 keep = np.ones(len(rows), dtype=bool)
                 keep[ends] = False
-                rows, detuning, theta, k1 = rows[keep], detuning[keep], theta[keep], k1[keep]
+                rows, theta, k1 = rows[keep], theta[keep], k1[keep]
+                if detuned:
+                    detuning = detuning[keep]
                 if not len(rows):
                     break
                 ends = []

@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pottsim import Graph, gen_planted, parse_dimacs
+from pottsim import gen_planted, parse_dimacs
+from pottsim.graph_io import Graph
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "benchmarks"
 

@@ -4,7 +4,8 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import strategies as st
 
-from pottsim import Coloring, Graph, PhaseState
+from pottsim.graph_io import Graph
+from pottsim.potts import Coloring, PhaseState
 
 
 @st.composite

@@ -12,28 +12,18 @@ import json
 import numpy as np
 import pytest
 
-from pottsim import (
+from pottsim import DynamicsParams, ShilSchedule, solve_multi
+from pottsim.graph_io import Graph
+from pottsim.potts import Coloring, PhaseState, accuracy, lattice_state, lyapunov, quantize
+from pottsim.dynamics import integrate, random_init, rhs
+from pottsim.solver import (
     AblationMode,
-    Coloring,
-    DynamicsParams,
-    Graph,
-    PhaseState,
-    ShilSchedule,
     ablate,
-    accuracy,
     bootstrap_mean_diff,
-    count_proper_colorings,
     detune_protocol_params,
     detune_sweep,
-    enumerate_landscape,
-    integrate,
-    lattice_state,
-    lyapunov,
-    quantize,
-    random_init,
-    rhs,
-    solve_multi,
 )
+from pottsim.oracle import count_proper_colorings, enumerate_landscape
 from pottsim.cli import main as cli_main
 
 from conftest import BENCH_DIR, load_benchmark, random_colorable_graph

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pottsim import Coloring, accuracy, gen_planted, parse_dimacs, write_dimacs
+from pottsim import gen_planted, parse_dimacs, write_dimacs
+from pottsim.potts import Coloring, accuracy
 from pottsim.cli import main
 
 from conftest import BENCH_DIR, random_colorable_graph

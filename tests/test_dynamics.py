@@ -5,25 +5,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pottsim import (
-    Checkpoint,
+from pottsim import DynamicsParams, ShilSchedule
+from pottsim.graph_io import Graph
+from pottsim.potts import (
     Coloring,
-    DynamicsParams,
-    Graph,
-    IntegrationDivergedError,
     PhaseState,
-    ShilSchedule,
-    Trajectory,
     accuracy,
-    detect_convergence,
-    integrate,
     lattice_deviation,
     lattice_state,
     lyapunov,
+)
+from pottsim.dynamics import (
+    CONVERGENCE_WINDOW,
+    Checkpoint,
+    IntegrationDivergedError,
+    Trajectory,
+    _rhs_core,
+    detect_convergence,
+    integrate,
+    integrate_block,
     random_init,
     rhs,
 )
-from pottsim.dynamics import CONVERGENCE_WINDOW, _rhs_core, integrate_block
 
 from conftest import random_colorable_graph
 from strategies import graphs
@@ -151,13 +154,15 @@ class TestRhs:
         n_phases=st.integers(min_value=1, max_value=8),
         gains=st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 60.0)),
         t=st.floats(0.0, 10.0),
-        detunings=st.lists(st.sampled_from([1e-5, -2.0, 30.0, 300.0, -300.0]), max_size=3),
+        detunings=st.lists(st.sampled_from([1e-5, -2.0, 30.0, 300.0, -300.0]),
+                           min_size=1, max_size=3),
         data=st.data(),
     )
     def test_core_matches_the_direct_formula(self, graph, n_phases, gains, t, detunings, data):
         # rows of one block, at least one of them undetuned; phases outside
         # [0, 2*pi) as in an RK4 stage state, and at the half-angle
-        # tangent's pole pi
+        # tangent's pole pi.  The block runs once with its detunings and
+        # once with none (the undetuned path, detuning=None).
         detunings.insert(data.draw(st.integers(0, len(detunings))), 0.0)
         n, rows = graph.num_vertices, len(detunings)
         phase = st.one_of(st.floats(-20.0, 20.0), st.sampled_from([np.pi, -np.pi, 3 * np.pi]))
@@ -166,19 +171,22 @@ class TestRhs:
         kc, ks = gains
         u, v = graph.edge_arrays()
         offsets = n * np.arange(rows)[:, None]
-        column = np.array(detunings)[:, None]
-        got = _rhs_core(theta, t, (u + offsets).ravel(), (v + offsets).ravel(),
-                        kc, ks, n_phases, column)
-        want = -ks * np.sin(n_phases * theta - column * t)
+        block_u, block_v = (u + offsets).ravel(), (v + offsets).ravel()
+        coupling = np.zeros_like(theta)
         for a, b in zip(u, v):
-            want[:, a] += kc * np.sin(theta[:, a] - theta[:, b])
-            want[:, b] += kc * np.sin(theta[:, b] - theta[:, a])
+            coupling[:, a] += kc * np.sin(theta[:, a] - theta[:, b])
+            coupling[:, b] += kc * np.sin(theta[:, b] - theta[:, a])
         degree = np.bincount(np.concatenate([u, v]), minlength=n).max(initial=0)
-        assert np.max(np.abs(got - want)) <= 1e-12 * (kc * max(degree, 1) + ks)
-        # a row has the bits it has alone, whatever rows share its block
-        for r, delta in enumerate(detunings):
-            alone = _rhs_core(theta[r], t, u, v, kc, ks, n_phases, delta)
-            assert np.array_equal(got[r], alone)
+        for deltas in (detunings, [0.0] * rows):
+            column = np.array(deltas)[:, None]
+            got = _rhs_core(theta, t, block_u, block_v, kc, ks, n_phases,
+                            column if any(deltas) else None)
+            want = coupling - ks * np.sin(n_phases * theta - column * t)
+            assert np.max(np.abs(got - want)) <= 1e-12 * (kc * max(degree, 1) + ks)
+            # a row has the bits it has alone, whatever rows share its block
+            for r, delta in enumerate(deltas):
+                alone = _rhs_core(theta[r], t, u, v, kc, ks, n_phases, delta or None)
+                assert np.array_equal(got[r], alone)
 
     def test_rejects_negative_shil(self, single_edge):
         with pytest.raises(ValueError):

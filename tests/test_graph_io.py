@@ -6,15 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from pottsim import (
-    DimacsError,
-    Graph,
-    accuracy,
-    gen_planted,
-    parse_dimacs,
-    planted_sidecar,
-    write_dimacs,
-)
+from pottsim import gen_planted, parse_dimacs, planted_sidecar, write_dimacs
+from pottsim.graph_io import DimacsError, Graph
+from pottsim.potts import accuracy
 
 from conftest import BENCH_DIR
 from strategies import graphs

@@ -3,14 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from pottsim import (
-    Coloring,
-    Graph,
-    accuracy,
-    count_proper_colorings,
-    enumerate_landscape,
-    landscape_csv,
-)
+from pottsim.graph_io import Graph
+from pottsim.potts import Coloring, accuracy
+from pottsim.oracle import count_proper_colorings, enumerate_landscape, landscape_csv
 
 from conftest import random_colorable_graph
 
@@ -94,7 +89,7 @@ class TestCrossChecks:
         hits = 0
         for spins in itertools.product(range(3), repeat=6):
             coloring = Coloring(np.array(spins), 3)
-            from pottsim import lattice_state, vector_energy
+            from pottsim.potts import lattice_state, vector_energy
 
             if abs(vector_energy(graph, lattice_state(coloring)) - scape.min_energy) <= 1e-9:
                 hits += 1

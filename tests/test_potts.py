@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pottsim import (
+from pottsim.graph_io import Graph
+from pottsim.potts import (
     Coloring,
-    Graph,
     PhaseState,
     accuracy,
     delta_energy,

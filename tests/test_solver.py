@@ -8,30 +8,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pottsim import (
+from pottsim import DynamicsParams, ShilSchedule, dynamics, solve_multi
+from pottsim.graph_io import Graph
+from pottsim.potts import accuracy, delta_energy
+from pottsim.dynamics import IntegrationDivergedError, detect_convergence, integrate, random_init
+from pottsim.solver import (
     AblationMode,
-    DynamicsParams,
-    Graph,
-    IntegrationDivergedError,
-    ShilSchedule,
+    _detune_task,
+    _run_task,
     ablate,
-    accuracy,
     bootstrap_mean_diff,
     config_to_settings,
-    delta_energy,
-    detect_convergence,
     detune_protocol_params,
     detune_sweep,
     effective_config,
-    integrate,
-    random_init,
     report_csv,
     report_json,
-    solve_multi,
     solve_once,
 )
-from pottsim import dynamics
-from pottsim.solver import _detune_task, _run_task
 
 from conftest import random_colorable_graph
 from strategies import graphs
