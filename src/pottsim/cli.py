@@ -181,6 +181,9 @@ def _cmd_landscape(args) -> int:
 def _cmd_detune(args) -> int:
     graph = parse_dimacs(args.file.read_text())
     params, schedule = _build_settings(args, base=detune_protocol_params())
+    if params.detuning != 0:
+        # each run's rate comes from --deltas, so the header must not claim another
+        raise ValueError("detune sets each run's detuning from --deltas; --detune must be 0")
     deltas = [float(tok) for tok in args.deltas.split(",") if tok.strip()]
     sweep = detune_sweep(graph, params, schedule, deltas, args.iters,
                          base_seed=args.seed, jobs=args.jobs)

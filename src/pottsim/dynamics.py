@@ -266,11 +266,11 @@ def integrate(
     params: DynamicsParams,
     schedule: ShilSchedule,
     seed: int = 0,
-    settle_exit: bool = False,
 ) -> Trajectory:
-    """One run of `integrate_block`, with every checkpoint kept as its Trajectory."""
+    """One run of `integrate_block` to t_max, with every checkpoint kept as
+    its Trajectory."""
     checkpoints: list[Checkpoint] = []
-    integrate_block(graph, [init], [params], schedule, [seed], settle_exit,
+    integrate_block(graph, [init], [params], schedule, [seed],
                     record=lambda row, cp: checkpoints.append(cp))
     return Trajectory(tuple(checkpoints), _checkpoint_steps(params.dt) * params.dt)
 
@@ -425,13 +425,3 @@ def integrate_block(
                 ends = take_checkpoints(t_next, k1)
     return list(zip(last, settled_at))
 
-
-def detect_convergence(trajectory: Trajectory, settle_from: float) -> Optional[float]:
-    """Earliest checkpoint time >= `settle_from` at which the machine has
-    settled by SettleDetector's rule, or None if that never happens within
-    the trajectory."""
-    settle = SettleDetector(settle_from)
-    for cp in trajectory.checkpoints:
-        if settle.push(cp):
-            return cp.time
-    return None

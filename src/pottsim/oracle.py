@@ -63,6 +63,8 @@ def enumerate_landscape(graph: Graph, n_phases: int) -> Landscape:
     absolute tolerance of 1e-9 * max(1, |E|), far below the spacing between
     distinct lattice energy levels.
     """
+    if n_phases < 2:
+        raise ValueError("n_phases must be >= 2")
     n_states = n_phases**graph.num_vertices
     _guard(n_states, "enumerate_landscape")
     u, v = graph.edge_arrays()

@@ -24,8 +24,6 @@ from .dynamics import (
     CONVERGENCE_WINDOW,
     DynamicsParams,
     ShilSchedule,
-    detect_convergence,
-    integrate,
     integrate_block,
     random_init,
 )
@@ -42,13 +40,14 @@ from .potts import (
 )
 
 HISTOGRAM_BINS = 100
-# Restarts per lockstep block (dynamics.integrate_block).  The rows of a block
-# share the per-call overhead that dominates a small graph's RHS.  Restarts
-# per CPU second against R = 1 (2 vCPUs): 1.9x at R = 20 on flat_200, no more
-# at R = 40; 1.2-1.4x at R = 20 on a 500-vertex graph; none at R = 2-8 on
-# rnd_1000, whose RHS is bound by arithmetic.
+# Restarts per lockstep block (dynamics.integrate_block), on every graph.  The
+# rows of a block share the per-call overhead of the RHS.  Restarts per CPU
+# second against R = 1 (2 vCPUs): 1.9x at R = 20 on flat_200, no more at
+# R = 40.  CPU seconds of 20 restarts on rnd_1000 (two runs each): 5.60-5.80
+# at R = 1, 4.27-4.45 at R = 5, 3.76-3.93 at R = 10, 4.38-4.55 at R = 20.
+# On the 2000-vertex rnd_2000, 11.07-13.68 s at R = 1 and 11.09-12.94 s at
+# R = 20 (medians 11.9 and 12.3 s of four runs): about even.
 LOCKSTEP_ROWS = 20
-LOCKSTEP_MAX_VERTICES = 500
 # Percentile bootstrap: resamples per interval and two-sided coverage.
 BOOTSTRAP_RESAMPLES = 1000
 BOOTSTRAP_CONFIDENCE = 0.95
@@ -145,27 +144,12 @@ def _record(graph: Graph, seed: int, coloring: Coloring, state: PhaseState,
     )
 
 
-def solve_once(
-    graph: Graph,
-    params: DynamicsParams,
-    schedule: ShilSchedule,
-    seed: int,
-) -> RunRecord:
-    """One machine run on its own: random init, integrate until settled (or
-    to t_max), quantize, score.  `vector_energy` is read at the exit state,
-    and `cycles` is replayed from the whole trajectory.  The solve commands
-    step their restarts in blocks (`_run_task`) and give the same record."""
-    init = random_init(graph.num_vertices, seed)
-    traj = integrate(graph, init, params, schedule, seed=seed, settle_exit=True)
-    cycles = detect_convergence(traj, schedule.ramp_end)
-    return _record(graph, seed, traj.final.coloring, traj.final.state, cycles)
-
-
 def _run_task(block: Sequence[tuple]) -> list[RunRecord]:
     """Restarts (graph, params, schedule, seed, mode) that share graph,
     schedule and mode, stepped in lockstep until each has settled (or to
-    t_max); records in block order.  Mode none scores each quantized
-    initial state instead."""
+    t_max); records in block order.  A row's record does not depend on its
+    block, so ``_run_task([task])`` is the restart run alone.  Mode none
+    scores each quantized initial state instead."""
     graph, _, schedule, _, mode = block[0]
     seeds = [task[3] for task in block]
     inits = [random_init(graph.num_vertices, seed) for seed in seeds]
@@ -205,22 +189,21 @@ def _aggregate(
     )
 
 
-def _run_batch(task, args: Sequence[tuple], jobs: int, num_vertices: int) -> list:
+def _run_batch(task, args: Sequence[tuple], jobs: int) -> list:
     """Run `task` over contiguous blocks of `args`, serially or on one pool
     of `jobs` workers, and return its results in the order of `args`
     whatever the worker count, so a report never depends on `--jobs`.
 
-    A block holds at most LOCKSTEP_ROWS tasks, or one on a graph of more
-    than LOCKSTEP_MAX_VERTICES.  Block sizes differ by at most one, and
-    their number is a multiple of `jobs` when there are enough tasks, so
-    the workers get equal row counts.  Blocks are dealt out one at a time.
+    A block holds at most LOCKSTEP_ROWS tasks.  Block sizes differ by at
+    most one, and their number is a multiple of `jobs` when there are enough
+    tasks, so the workers get equal row counts.  Blocks are dealt out one at
+    a time.
     """
     if len(args) < 1:
         raise ValueError("iterations must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    rows = LOCKSTEP_ROWS if num_vertices <= LOCKSTEP_MAX_VERTICES else 1
-    count = min(len(args), jobs * -(-len(args) // (jobs * rows)))
+    count = min(len(args), jobs * -(-len(args) // (jobs * LOCKSTEP_ROWS)))
     bounds = [len(args) * k // count for k in range(count + 1)]
     blocks = [args[a:b] for a, b in zip(bounds, bounds[1:])]
     if jobs == 1:
@@ -243,7 +226,7 @@ def _solve(
 ) -> SolveReport:
     run_params = _params_for_mode(params, mode)
     tasks = [(graph, run_params, schedule, base_seed + i, mode) for i in range(iterations)]
-    records = _run_batch(_run_task, tasks, jobs, graph.num_vertices)
+    records = _run_batch(_run_task, tasks, jobs)
     cfg = effective_config(params, schedule, iterations, base_seed, mode=mode)
     return _aggregate(benchmark, cfg, records)
 
@@ -323,7 +306,7 @@ def detune_sweep(
         for delta in deltas
         for i in range(iterations)
     ]
-    devs = _run_batch(_detune_task, tasks, jobs, graph.num_vertices)
+    devs = _run_batch(_detune_task, tasks, jobs)
     return [
         (float(delta), float(np.degrees(np.mean(devs[k * iterations:(k + 1) * iterations]))))
         for k, delta in enumerate(deltas)

@@ -153,6 +153,14 @@ class TestLandscapeCommand:
         assert len(lines) == 29  # config + header + 27 states
         assert float(lines[2].split(",")[1]) == pytest.approx(-1.5)
 
+    @pytest.mark.parametrize("n_phases", ["0", "1", "-2"])
+    def test_fewer_than_two_phases_rejected(self, k3_col, tmp_path, capsys, n_phases):
+        out = tmp_path / "l.csv"
+        rc = main(["landscape", str(k3_col), "--n-phases", n_phases, "--out", str(out)])
+        assert rc == 1
+        assert "error: n_phases must be >= 2" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDetuneCommand:
     def test_sweep_csv(self, tiny_col, tmp_path):
@@ -164,6 +172,22 @@ class TestDetuneCommand:
         assert lines[1] == "delta,mean_deviation_deg"
         assert len(lines) == 4
         assert float(lines[2].split(",")[1]) < float(lines[3].split(",")[1])
+
+    def test_detune_flag_must_be_zero(self, tiny_col, tmp_path, capsys):
+        # the sweep sets each run's rate from --deltas, so a nonzero --detune
+        # would be ignored yet recorded in the header
+        argv = ["detune", str(tiny_col), "--deltas", "0,200", "--iters", "1", "--t-max", "2"]
+        out = tmp_path / "d.csv"
+        assert main([*argv, "--detune", "5", "--out", str(out)]) == 1
+        assert "--deltas" in capsys.readouterr().err
+        assert not out.exists()
+        # 0 is what every detune header records, so a report still regenerates
+        plain, zero = tmp_path / "plain.csv", tmp_path / "zero.csv"
+        assert main([*argv, "--out", str(plain)]) == 0
+        header = json.loads(plain.read_text().split("\n")[0][2:])
+        detuning = str(header["params"]["dynamics"]["detuning"])
+        assert main([*argv, "--detune", detuning, "--out", str(zero)]) == 0
+        assert plain.read_bytes() == zero.read_bytes()
 
 
 class TestGenCommand:

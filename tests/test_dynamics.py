@@ -19,9 +19,9 @@ from pottsim.dynamics import (
     CONVERGENCE_WINDOW,
     Checkpoint,
     IntegrationDivergedError,
+    SettleDetector,
     Trajectory,
     _rhs_core,
-    detect_convergence,
     integrate,
     integrate_block,
     random_init,
@@ -406,13 +406,17 @@ class TestIntegrate:
         sched = ShilSchedule()
         for seed in range(3):
             init = random_init(20, seed)
-            early = integrate(graph, init, params, sched, seed=seed, settle_exit=True)
-            full = integrate(graph, init, params, sched, seed=seed)
-            settle = detect_convergence(early, sched.ramp_end)
-            assert settle == early.final.time == detect_convergence(full, sched.ramp_end)
+            early, full = [], []
+            [(final, settle)] = integrate_block(graph, [init], [params], sched, [seed],
+                                                settle_exit=True,
+                                                record=lambda row, cp: early.append(cp))
+            [(_, full_settle)] = integrate_block(graph, [init], [params], sched, [seed],
+                                                 record=lambda row, cp: full.append(cp))
+            assert settle == final.time == early[-1].time == full_settle
             assert sched.ramp_end <= settle < params.t_max
             # stopping early changes nothing before the exit
-            for a, b in zip(early.checkpoints, full.checkpoints):
+            assert len(early) < len(full)
+            for a, b in zip(early, full):
                 assert a.time == b.time and a.max_rate == b.max_rate
                 assert np.array_equal(a.state.phases, b.state.phases)
 
@@ -425,26 +429,34 @@ class TestIntegrate:
     ], ids=["noise", "detuning", "square"])
     def test_settle_exit_needs_a_fixed_gradient_flow(self, params, sched):
         graph = random_colorable_graph(20, 40, seed=5)
-        traj = integrate(graph, random_init(20, 1), params, sched, seed=1, settle_exit=True)
-        assert traj.final.time == pytest.approx(params.t_max)
+        checkpoints = []
+        [(final, settle)] = integrate_block(graph, [random_init(20, 1)], [params], sched, [1],
+                                            settle_exit=True,
+                                            record=lambda row, cp: checkpoints.append(cp))
+        assert final.time == checkpoints[-1].time == pytest.approx(params.t_max)
         # the settle rule held well before t_max, so only the gate kept it running
-        assert detect_convergence(traj, sched.ramp_end) < params.t_max - 5.0
+        assert settle < params.t_max - 5.0
 
 
-def constant_trajectory(coloring: Coloring, count: int, stride: float = 0.5) -> Trajectory:
+def constant_checkpoints(coloring: Coloring, count: int, stride: float = 0.5) -> list[Checkpoint]:
     state = lattice_state(coloring)
-    cps = [
+    return [
         Checkpoint(time=i * stride if i else 0.0, state=state, lyapunov=-1.0,
                    coloring=coloring, max_rate=0.0)
         for i in range(count)
     ]
-    return Trajectory(tuple(cps), stride)
+
+
+def first_settle(checkpoints: list[Checkpoint], settle_from: float):
+    """Time of the first checkpoint at which SettleDetector reports a settle."""
+    settle = SettleDetector(settle_from)
+    return next((cp.time for cp in checkpoints if settle.push(cp)), None)
 
 
 class TestDetectConvergence:
     def test_constant_trajectory_converges_at_window(self):
-        traj = constant_trajectory(Coloring([0, 1, 2], 3), count=10)
-        assert detect_convergence(traj, 0.0) == traj.checkpoints[CONVERGENCE_WINDOW - 1].time
+        cps = constant_checkpoints(Coloring([0, 1, 2], 3), count=10)
+        assert first_settle(cps, 0.0) == cps[CONVERGENCE_WINDOW - 1].time
 
     def test_flickering_coloring_never_converges(self):
         a, b = Coloring([0, 1, 2], 3), Coloring([1, 2, 0], 3)
@@ -453,12 +465,12 @@ class TestDetectConvergence:
                        -1.0, a if i % 2 else b, 0.0)
             for i in range(10)
         ]
-        assert detect_convergence(Trajectory(tuple(cps), 0.5), 0.0) is None
+        assert first_settle(cps, 0.0) is None
 
     def test_settle_counts_from_settle_from(self):
-        traj = constant_trajectory(Coloring([0, 1, 2], 3), count=30)
-        assert detect_convergence(traj, 10.0) == 10.0
-        assert detect_convergence(traj, 20.0) is None
+        cps = constant_checkpoints(Coloring([0, 1, 2], 3), count=30)
+        assert first_settle(cps, 10.0) == 10.0
+        assert first_settle(cps, 20.0) is None
 
     def test_high_rate_blocks_convergence(self):
         coloring = Coloring([0, 1, 2], 3)
@@ -466,8 +478,7 @@ class TestDetectConvergence:
             Checkpoint(i * 0.5 if i else 0.0, lattice_state(coloring), -1.0, coloring, 1.0)
             for i in range(10)
         ]
-        assert detect_convergence(Trajectory(tuple(cps), 0.5), 0.0) is None
-
+        assert first_settle(cps, 0.0) is None
 
 class TestTrajectory:
     def test_strictly_increasing_times_enforced(self):

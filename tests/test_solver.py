@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 from pottsim import DynamicsParams, ShilSchedule, dynamics, solve_multi
 from pottsim.graph_io import Graph
 from pottsim.potts import accuracy, delta_energy
-from pottsim.dynamics import IntegrationDivergedError, detect_convergence, integrate, random_init
+from pottsim.dynamics import IntegrationDivergedError, integrate_block, random_init
 from pottsim.solver import (
+    LOCKSTEP_ROWS,
     AblationMode,
     _detune_task,
+    _run_batch,
     _run_task,
     ablate,
     bootstrap_mean_diff,
@@ -24,7 +26,6 @@ from pottsim.solver import (
     effective_config,
     report_csv,
     report_json,
-    solve_once,
 )
 
 from conftest import random_colorable_graph
@@ -34,10 +35,17 @@ FAST = DynamicsParams(t_max=20.0)
 SCHED = ShilSchedule()
 
 
+def run_alone(graph, params, schedule, seed):
+    """One restart run alone: a block of one row."""
+    return _run_task([(graph, params, schedule, seed, None)])[0]
+
+
 class TestSolveOnce:
+    """A restart run alone, as a block of one row."""
+
     def test_edgeless_graph_scores_perfect(self):
         graph = Graph(5, np.empty((0, 2), dtype=int))
-        record = solve_once(graph, FAST, SCHED, seed=0)
+        record = run_alone(graph, FAST, SCHED, seed=0)
         assert record.accuracy == 1.0
         assert record.delta_energy == 0.0
 
@@ -51,17 +59,20 @@ class TestSolveOnce:
         graph = random_colorable_graph(30, 66, seed=4)
         params = DynamicsParams(t_max=40.0)
         for seed in range(6):
-            record = solve_once(graph, params, SCHED, seed=seed)
-            full = integrate(graph, random_init(30, seed), params, SCHED, seed=seed)
+            record = run_alone(graph, params, SCHED, seed=seed)
+            # the same run to t_max, without the settle exit
+            [(final, settled_at)] = integrate_block(
+                graph, [random_init(30, seed)], [params], SCHED, [seed])
+            assert final.time == pytest.approx(params.t_max)
             assert record.cycles < params.t_max  # the run did stop early
-            assert record.accuracy == accuracy(graph, full.final.coloring)
-            assert record.delta_energy == delta_energy(graph, full.final.coloring)
-            assert record.cycles == detect_convergence(full, SCHED.ramp_end)
+            assert record.accuracy == accuracy(graph, final.coloring)
+            assert record.delta_energy == delta_energy(graph, final.coloring)
+            assert record.cycles == settled_at
 
     def test_deterministic_per_seed(self):
         graph = random_colorable_graph(15, 30, seed=0)
-        a = solve_once(graph, FAST, SCHED, seed=3)
-        b = solve_once(graph, FAST, SCHED, seed=3)
+        a = run_alone(graph, FAST, SCHED, seed=3)
+        b = run_alone(graph, FAST, SCHED, seed=3)
         assert a == b
 
 
@@ -75,7 +86,28 @@ def split(tasks: list, cuts: list[int]) -> list[list]:
     return blocks
 
 
+def tag_with_block_size(block):
+    """A batch task that pairs each of its arguments with its block's size."""
+    return [(len(block), arg) for arg in block]
+
+
 class TestLockstepBlocks:
+    @pytest.mark.parametrize("num_tasks, jobs", [(1, 1), (10, 2), (41, 2), (100, 2), (7, 3)])
+    def test_batch_deal(self, num_tasks, jobs):
+        results = _run_batch(tag_with_block_size, list(range(num_tasks)), jobs)
+        assert [arg for _, arg in results] == list(range(num_tasks))
+        sizes, i = [], 0
+        while i < num_tasks:
+            size = results[i][0]
+            assert all(s == size for s, _ in results[i:i + size])
+            sizes.append(size)
+            i += size
+        assert i == num_tasks
+        assert max(sizes) <= LOCKSTEP_ROWS
+        assert max(sizes) - min(sizes) <= 1
+        if num_tasks >= jobs:
+            assert len(sizes) % jobs == 0
+
     @settings(max_examples=20, deadline=None)
     @given(
         graph=graphs(max_vertices=8),
@@ -85,15 +117,14 @@ class TestLockstepBlocks:
         detunings=st.lists(st.sampled_from([0.0, 1e-5, -2.0]), min_size=6, max_size=6),
     )
     def test_records_do_not_depend_on_the_block(self, graph, seeds, cuts, noise, detunings):
-        # each row alone is the reference: solve_once replays the settle rule
-        # over the run's whole trajectory
+        # each row alone is the reference
         tasks = [
             (graph, DynamicsParams(noise_amplitude=noise, detuning=d, t_max=14.0), SCHED, s, None)
             for s, d in zip(seeds, detunings)
         ]
         blocks = split(tasks, cuts)
         records = [r for block in blocks for r in _run_task(block)]
-        assert records == [solve_once(graph, t[1], SCHED, t[3]) for t in tasks]
+        assert records == [run_alone(graph, t[1], SCHED, t[3]) for t in tasks]
         devs = [d for block in blocks for d in _detune_task([t[:4] for t in block])]
         assert devs == [_detune_task([t[:4]])[0] for t in tasks]
 
