@@ -18,7 +18,6 @@ from .graph_io import DimacsError, gen_planted, parse_dimacs, planted_sidecar, w
 from .oracle import enumerate_landscape, landscape_csv
 from .solver import (
     AblationMode,
-    ablate,
     detune_protocol_params,
     detune_sweep,
     effective_config,
@@ -31,15 +30,20 @@ DEFAULT_DELTAS = "0,10,-10,30,-30,80,-80,150,-150,300,-300"
 
 
 def _add_dynamics_flags(p: argparse.ArgumentParser):
-    p.add_argument("--kc", type=float, default=None, help="coupling gain")
-    p.add_argument("--ks", type=float, default=None, help="peak SHIL gain")
+    """Each flag's dest is the DynamicsParams or ShilSchedule field it sets."""
+    p.add_argument("--kc", type=float, default=None, dest="coupling_gain", metavar="KC",
+                   help="coupling gain")
+    p.add_argument("--ks", type=float, default=None, dest="shil_gain_max", metavar="KS",
+                   help="peak SHIL gain")
     p.add_argument("--n-phases", type=int, default=None, help="number of lattice phases N")
     p.add_argument("--dt", type=float, default=None, help="integrator step (cycles)")
     p.add_argument("--t-max", type=float, default=None, help="horizon (cycles)")
     p.add_argument("--t-on", type=float, default=None, help="SHIL activation time (cycles)")
     p.add_argument("--ramp", type=float, default=None, help="SHIL ramp duration (cycles)")
-    p.add_argument("--noise", type=float, default=None, help="noise amplitude")
-    p.add_argument("--detune", type=float, default=None, help="SHIL detuning rate (rad/cycle)")
+    p.add_argument("--noise", type=float, default=None, dest="noise_amplitude", metavar="NOISE",
+                   help="noise amplitude")
+    p.add_argument("--detune", type=float, default=None, dest="detuning", metavar="DETUNE",
+                   help="SHIL detuning rate (rad/cycle)")
 
 
 def _add_run_flags(p: argparse.ArgumentParser, default_iters: int = 100):
@@ -51,28 +55,12 @@ def _add_run_flags(p: argparse.ArgumentParser, default_iters: int = 100):
 
 
 def _build_settings(args, base: DynamicsParams | None = None) -> tuple[DynamicsParams, ShilSchedule]:
+    def given(cls) -> dict:
+        values = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(cls)}
+        return {name: val for name, val in values.items() if val is not None}
+
     base = base if base is not None else DynamicsParams()
-    overrides = {}
-    for flag, field in (
-        ("kc", "coupling_gain"),
-        ("ks", "shil_gain_max"),
-        ("n_phases", "n_phases"),
-        ("dt", "dt"),
-        ("t_max", "t_max"),
-        ("noise", "noise_amplitude"),
-        ("detune", "detuning"),
-    ):
-        val = getattr(args, flag, None)
-        if val is not None:
-            overrides[field] = val
-    params = dataclasses.replace(base, **overrides) if overrides else base
-    sched_overrides = {}
-    if getattr(args, "t_on", None) is not None:
-        sched_overrides["t_on"] = args.t_on
-    if getattr(args, "ramp", None) is not None:
-        sched_overrides["ramp"] = args.ramp
-    schedule = ShilSchedule(**sched_overrides)
-    return params, schedule
+    return dataclasses.replace(base, **given(DynamicsParams)), ShilSchedule(**given(ShilSchedule))
 
 
 def _write_atomic(files: dict[Path, str]):
@@ -108,18 +96,7 @@ def _cmd_solve(args) -> int:
     params, schedule = _build_settings(args)
     report = solve_multi(
         graph, params, schedule, args.iters, args.seed,
-        benchmark=args.file.stem, jobs=args.jobs,
-    )
-    _emit(report_json(report) if args.format == "json" else report_csv(report), args.out)
-    return 0
-
-
-def _cmd_ablate(args) -> int:
-    graph = parse_dimacs(args.file.read_text())
-    params, schedule = _build_settings(args)
-    report = ablate(
-        graph, params, schedule, AblationMode(args.mode), args.iters, args.seed,
-        benchmark=args.file.stem, jobs=args.jobs,
+        benchmark=args.file.stem, jobs=args.jobs, mode=getattr(args, "ablation", None),
     )
     _emit(report_json(report) if args.format == "json" else report_csv(report), args.out)
     return 0
@@ -166,9 +143,8 @@ def _cmd_bench(args) -> int:
 
 def _cmd_landscape(args) -> int:
     graph = parse_dimacs(args.file.read_text())
-    n_phases = args.n_phases if args.n_phases is not None else 3
-    scape = enumerate_landscape(graph, n_phases)
-    head = "# " + json.dumps({"benchmark": args.file.stem, "n_phases": n_phases}) + "\n"
+    scape = enumerate_landscape(graph, args.n_phases)
+    head = "# " + json.dumps({"benchmark": args.file.stem, "n_phases": args.n_phases}) + "\n"
     _emit(head + landscape_csv(scape), args.out)
     print(
         f"{args.file.stem}: {scape.n_states} states, min energy {scape.min_energy:.6g}, "
@@ -197,10 +173,14 @@ def _cmd_detune(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    sidecar = args.out.with_suffix(".json")
+    if sidecar == args.out:
+        raise ValueError(f"--out {args.out} is also the path of its .json sidecar; "
+                         "give the graph another suffix, such as .col")
     instance = gen_planted(args.n, args.m, args.k, args.seed)
     _write_atomic({
         args.out: write_dimacs(instance.graph),
-        args.out.with_suffix(".json"): planted_sidecar(instance) + "\n",
+        sidecar: planted_sidecar(instance) + "\n",
     })
     print(
         f"wrote {args.out} ({args.n} vertices, {args.m} edges, "
@@ -231,15 +211,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="solve with one subsystem disabled")
     p.add_argument("file", type=Path)
-    p.add_argument("--mode", required=True,
+    # dest "mode" would collide with the ShilSchedule field of that name
+    p.add_argument("--mode", required=True, dest="ablation",
                    choices=[m.value for m in AblationMode])
     _add_run_flags(p)
     _add_dynamics_flags(p)
-    p.set_defaults(func=_cmd_ablate)
+    p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("landscape", help="enumerate the full lattice energy landscape")
     p.add_argument("file", type=Path)
-    p.add_argument("--n-phases", type=int, default=None)
+    p.add_argument("--n-phases", type=int, default=3)
     p.add_argument("--out", type=Path, default=None)
     p.set_defaults(func=_cmd_landscape)
 

@@ -256,6 +256,8 @@ def random_init(n: int, seed: int) -> PhaseState:
     """Uniform random phases on [0, 2*pi), deterministic per seed."""
     if n < 1:
         raise ValueError("need at least one vertex")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng([seed, 0])
     return PhaseState(rng.random(n) * TWO_PI)
 

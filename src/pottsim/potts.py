@@ -78,13 +78,6 @@ def vector_energy(graph: Graph, state: PhaseState) -> float:
     return float(np.sum(np.cos(th[u] - th[v])))
 
 
-def lattice_phase(spin: int, n_phases: int) -> float:
-    """Phase of a lattice point: 2*pi*spin / n_phases."""
-    if not 0 <= spin < n_phases:
-        raise ValueError(f"spin {spin} out of range for {n_phases} phases")
-    return TWO_PI * spin / n_phases
-
-
 def lattice_state(coloring: Coloring) -> PhaseState:
     """PhaseState with every vertex at its spin's lattice phase."""
     return PhaseState(TWO_PI * coloring.spins / coloring.num_phases)

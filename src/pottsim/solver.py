@@ -197,7 +197,8 @@ def _run_batch(task, args: Sequence[tuple], jobs: int) -> list:
     A block holds at most LOCKSTEP_ROWS tasks.  Block sizes differ by at
     most one, and their number is a multiple of `jobs` when there are enough
     tasks, so the workers get equal row counts.  Blocks are dealt out one at
-    a time.
+    a time, to no more workers than there are blocks (a forked pool starts
+    all of its workers at once).
     """
     if len(args) < 1:
         raise ValueError("iterations must be >= 1")
@@ -206,29 +207,13 @@ def _run_batch(task, args: Sequence[tuple], jobs: int) -> list:
     count = min(len(args), jobs * -(-len(args) // (jobs * LOCKSTEP_ROWS)))
     bounds = [len(args) * k // count for k in range(count + 1)]
     blocks = [args[a:b] for a, b in zip(bounds, bounds[1:])]
-    if jobs == 1:
+    workers = min(jobs, len(blocks))
+    if workers == 1:
         results = [task(b) for b in blocks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(task, blocks))
     return [r for block in results for r in block]
-
-
-def _solve(
-    graph: Graph,
-    params: DynamicsParams,
-    schedule: ShilSchedule,
-    mode: Optional[AblationMode],
-    iterations: int,
-    base_seed: int,
-    benchmark: str,
-    jobs: int,
-) -> SolveReport:
-    run_params = _params_for_mode(params, mode)
-    tasks = [(graph, run_params, schedule, base_seed + i, mode) for i in range(iterations)]
-    records = _run_batch(_run_task, tasks, jobs)
-    cfg = effective_config(params, schedule, iterations, base_seed, mode=mode)
-    return _aggregate(benchmark, cfg, records)
 
 
 def solve_multi(
@@ -239,28 +224,22 @@ def solve_multi(
     base_seed: int,
     benchmark: str = "",
     jobs: int = 1,
+    mode: Optional[AblationMode] = None,
 ) -> SolveReport:
-    """Run `iterations` independent restarts (seeds base_seed..+iterations-1)."""
-    return _solve(graph, params, schedule, None, iterations, base_seed, benchmark, jobs)
-
-
-def ablate(
-    graph: Graph,
-    params: DynamicsParams,
-    schedule: ShilSchedule,
-    mode: AblationMode,
-    iterations: int,
-    base_seed: int,
-    benchmark: str = "",
-    jobs: int = 1,
-) -> SolveReport:
-    """solve_multi with one subsystem disabled.
+    """Run `iterations` independent restarts (seeds base_seed..+iterations-1),
+    optionally with one subsystem disabled by an ablation `mode`.
 
     sync_only zeroes the coupling gain, couplings_only zeroes the SHIL gain
     (the final continuous state is still rounded), none skips the dynamics
-    entirely and scores the quantized random initial state.
+    entirely and scores the quantized random initial state.  Only an explicit
+    mode, full included, is recorded in the report's params.
     """
-    return _solve(graph, params, schedule, AblationMode(mode), iterations, base_seed, benchmark, jobs)
+    mode = None if mode is None else AblationMode(mode)
+    run_params = _params_for_mode(params, mode)
+    tasks = [(graph, run_params, schedule, base_seed + i, mode) for i in range(iterations)]
+    records = _run_batch(_run_task, tasks, jobs)
+    cfg = effective_config(params, schedule, iterations, base_seed, mode=mode)
+    return _aggregate(benchmark, cfg, records)
 
 
 def detune_protocol_params() -> DynamicsParams:

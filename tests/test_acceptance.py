@@ -18,7 +18,6 @@ from pottsim.potts import Coloring, PhaseState, accuracy, lattice_state, lyapuno
 from pottsim.dynamics import integrate, random_init, rhs
 from pottsim.solver import (
     AblationMode,
-    ablate,
     bootstrap_mean_diff,
     detune_protocol_params,
     detune_sweep,
@@ -76,8 +75,8 @@ def rnd1000_report():
 def ablation_reports():
     graph = load_benchmark("flat_200_479-1")
     return {
-        mode: ablate(graph, DEFAULTS, SCHEDULE, mode, ITERATIONS, BASE_SEED,
-                     benchmark="flat_200_479-1", jobs=JOBS)
+        mode: solve_multi(graph, DEFAULTS, SCHEDULE, ITERATIONS, BASE_SEED,
+                          benchmark="flat_200_479-1", jobs=JOBS, mode=mode)
         for mode in AblationMode
     }
 

@@ -96,6 +96,56 @@ class TestSolveCommand:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+# Every dynamics flag with a value distinct from each other and from the
+# defaults of the fields no flag sets (schedule mode, period and duty).
+FLAG_FIELDS = [
+    ("--kc", "0.7", "dynamics", "coupling_gain"),
+    ("--ks", "1.3", "dynamics", "shil_gain_max"),
+    ("--n-phases", "4", "dynamics", "n_phases"),
+    ("--dt", "0.01", "dynamics", "dt"),
+    ("--t-max", "3", "dynamics", "t_max"),
+    ("--t-on", "1", "schedule", "t_on"),
+    ("--ramp", "0.25", "schedule", "ramp"),
+    ("--noise", "0.03", "dynamics", "noise_amplitude"),
+    ("--detune", "0.2", "dynamics", "detuning"),
+]
+
+
+class TestFlagsSetTheirFields:
+    @staticmethod
+    def params_of(command, target, extra, tmp_path):
+        """The params block of a one-restart report run with every flag in FLAG_FIELDS
+        that `command` accepts."""
+        flags = [tok for flag, value, _, _ in FLAG_FIELDS
+                 if command != "detune" or flag != "--detune" for tok in (flag, value)]
+        out = tmp_path / f"{command}.out"
+        argv = [command, str(target), *extra, *flags, "--iters", "1", "--out", str(out)]
+        assert main(argv) == 0
+        text = out.read_text()
+        if command == "detune":
+            return json.loads(text.split("\n")[0][2:])["params"]
+        return json.loads(text)["params"]
+
+    @pytest.mark.parametrize("command, extra", [
+        ("solve", []), ("ablate", ["--mode", "full"]), ("bench", []), ("detune", ["--deltas", "0"]),
+    ])
+    def test_each_flag_sets_exactly_its_field(self, tiny_col, tmp_path, command, extra):
+        target = tiny_col.parent if command == "bench" else tiny_col
+        params = self.params_of(command, target, extra, tmp_path)
+        fields = [(block, name, val) for block in ("dynamics", "schedule")
+                  for name, val in params[block].items()]
+        for flag, value, block, field in FLAG_FIELDS:
+            if command == "detune" and flag == "--detune":
+                continue
+            holders = [(b, name) for b, name, val in fields if val == float(value)]
+            assert holders == [(block, field)], flag
+
+    def test_ablation_mode_is_not_the_schedule_mode(self, tiny_col, tmp_path):
+        params = self.params_of("ablate", tiny_col, ["--mode", "sync_only"], tmp_path)
+        assert params["mode"] == "sync_only"
+        assert params["schedule"]["mode"] == "constant"
+
+
 class TestBenchCommand:
     def test_summary_over_directory(self, tmp_path):
         bench = tmp_path / "suite"
@@ -224,6 +274,13 @@ class TestGenCommand:
         assert sidecar.read_bytes() == b"old sidecar\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["rnd.col", "rnd.json"]
 
+    def test_out_may_not_be_its_own_sidecar(self, tmp_path, capsys):
+        rc = main(["gen", "--n", "10", "--m", "12", "--seed", "1",
+                   "--out", str(tmp_path / "inst.json")])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_infeasible_request_errors(self, tmp_path, capsys):
         rc = main(["gen", "--n", "4", "--m", "7", "--k", "2", "--seed", "1",
                    "--out", str(tmp_path / "x.col")])
@@ -243,6 +300,16 @@ class TestErrors:
         rc = main(["solve", str(tmp_path / "absent.col"), "--iters", "1"])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "detune"])
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_negative_seed_rejected(self, tiny_col, tmp_path, capsys, command, jobs):
+        out = tmp_path / "r.out"
+        rc = main([command, str(tiny_col), "--seed", "-1", "--iters", "2", "--t-max", "2",
+                   "--jobs", jobs, "--out", str(out)])
+        assert rc == 1
+        assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_invalid_parameter_leaves_no_partial_report(self, tiny_col, tmp_path, capsys):
         out = tmp_path / "r.json"

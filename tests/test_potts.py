@@ -14,7 +14,6 @@ from pottsim.potts import (
     accuracy,
     delta_energy,
     lattice_deviation,
-    lattice_phase,
     lattice_state,
     lyapunov,
     quantize,
@@ -66,19 +65,6 @@ class TestVectorEnergy:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             PhaseState([np.nan, 0.0])
-
-
-class TestLatticePhase:
-    def test_values(self):
-        assert lattice_phase(0, 3) == 0.0
-        assert lattice_phase(1, 3) == pytest.approx(2.0943951023931953)
-        assert lattice_phase(2, 4) == pytest.approx(np.pi)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            lattice_phase(3, 3)
-        with pytest.raises(ValueError):
-            lattice_phase(-1, 3)
 
 
 class TestQuantize:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pottsim import DynamicsParams, ShilSchedule, dynamics, solve_multi
+from pottsim import DynamicsParams, ShilSchedule, dynamics, solve_multi, solver
 from pottsim.graph_io import Graph
 from pottsim.potts import accuracy, delta_energy
 from pottsim.dynamics import IntegrationDivergedError, integrate_block, random_init
@@ -18,7 +18,6 @@ from pottsim.solver import (
     _detune_task,
     _run_batch,
     _run_task,
-    ablate,
     bootstrap_mean_diff,
     config_to_settings,
     detune_protocol_params,
@@ -108,6 +107,29 @@ class TestLockstepBlocks:
         if num_tasks >= jobs:
             assert len(sizes) % jobs == 0
 
+    @pytest.mark.parametrize("num_tasks, jobs, pools", [(1, 4, []), (3, 4, [3]), (100, 2, [2])])
+    def test_pool_has_no_more_workers_than_blocks(self, monkeypatch, num_tasks, jobs, pools):
+        # a forked pool starts all of its workers at once, used or not
+        opened = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(solver, "ProcessPoolExecutor", InProcessPool)
+        results = _run_batch(tag_with_block_size, list(range(num_tasks)), jobs)
+        assert [arg for _, arg in results] == list(range(num_tasks))
+        assert opened == pools
+
     @settings(max_examples=20, deadline=None)
     @given(
         graph=graphs(max_vertices=8),
@@ -175,26 +197,26 @@ class TestAblate:
     def test_mode_none_matches_random_coloring_analysis(self):
         # a uniform random 3-coloring satisfies each edge with probability 2/3
         graph = random_colorable_graph(60, 140, seed=5)
-        report = ablate(graph, FAST, SCHED, AblationMode.NONE, iterations=200, base_seed=0)
+        report = solve_multi(graph, FAST, SCHED, iterations=200, base_seed=0, mode=AblationMode.NONE)
         assert report.avg_accuracy == pytest.approx(2 / 3, abs=0.035)
         assert all(r.cycles is None for r in report.runs)
 
     def test_sync_only_close_to_none(self):
         graph = random_colorable_graph(40, 90, seed=6)
-        none = ablate(graph, FAST, SCHED, AblationMode.NONE, iterations=60, base_seed=0)
-        sync = ablate(graph, FAST, SCHED, AblationMode.SYNC_ONLY, iterations=60, base_seed=0)
+        none = solve_multi(graph, FAST, SCHED, iterations=60, base_seed=0, mode=AblationMode.NONE)
+        sync = solve_multi(graph, FAST, SCHED, iterations=60, base_seed=0, mode=AblationMode.SYNC_ONLY)
         assert abs(sync.avg_accuracy - none.avg_accuracy) < 0.05
 
     def test_sync_only_settles_after_the_ramp(self):
         # with no couplings the phases sit still until SHIL switches on
         graph = random_colorable_graph(40, 90, seed=6)
-        sync = ablate(graph, FAST, SCHED, AblationMode.SYNC_ONLY, iterations=5, base_seed=0)
+        sync = solve_multi(graph, FAST, SCHED, iterations=5, base_seed=0, mode=AblationMode.SYNC_ONLY)
         assert all(SCHED.ramp_end <= r.cycles < FAST.t_max for r in sync.runs)
 
     def test_full_beats_sync_only(self):
         graph = random_colorable_graph(40, 90, seed=6)
-        full = ablate(graph, FAST, SCHED, AblationMode.FULL, iterations=40, base_seed=0)
-        sync = ablate(graph, FAST, SCHED, AblationMode.SYNC_ONLY, iterations=40, base_seed=0)
+        full = solve_multi(graph, FAST, SCHED, iterations=40, base_seed=0, mode=AblationMode.FULL)
+        sync = solve_multi(graph, FAST, SCHED, iterations=40, base_seed=0, mode=AblationMode.SYNC_ONLY)
         lo, _ = bootstrap_mean_diff(
             [r.accuracy for r in full.runs], [r.accuracy for r in sync.runs], seed=1
         )
@@ -202,12 +224,12 @@ class TestAblate:
 
     def test_mode_recorded_in_config(self):
         graph = random_colorable_graph(12, 24, seed=1)
-        report = ablate(graph, FAST, SCHED, AblationMode.COUPLINGS_ONLY, iterations=2, base_seed=0)
+        report = solve_multi(graph, FAST, SCHED, iterations=2, base_seed=0, mode=AblationMode.COUPLINGS_ONLY)
         assert report.params["mode"] == "couplings_only"
 
     def test_accepts_mode_strings(self):
         graph = random_colorable_graph(12, 24, seed=1)
-        report = ablate(graph, FAST, SCHED, "none", iterations=2, base_seed=0)
+        report = solve_multi(graph, FAST, SCHED, iterations=2, base_seed=0, mode="none")
         assert report.params["mode"] == "none"
 
 
