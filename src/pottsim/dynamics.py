@@ -17,21 +17,20 @@ oscillator cycles.
 from __future__ import annotations
 
 import dataclasses
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .graph_io import Graph
-from .potts import Coloring, PhaseState, TWO_PI, lyapunov, quantize
+from .potts import Coloring, PhaseState, TWO_PI, lyapunov, quantize, wrap_phases
 
 # Time between trajectory checkpoints (cycles), rounded to a whole number of
 # steps.
 CHECKPOINT_STRIDE = 0.5
 # Settle rule: the rounded coloring is unchanged over this many consecutive
 # checkpoints and max |dtheta/dt| is below CONVERGENCE_EPS at the last one
-# (see SettleDetector).
+# (see _settle_step).
 CONVERGENCE_WINDOW = 5
 CONVERGENCE_EPS = 1e-3
 # RK4's stability interval on the negative real axis (Hairer & Wanner,
@@ -154,30 +153,6 @@ class Trajectory:
         return self.checkpoints[-1]
 
 
-class SettleDetector:
-    """The settle rule, fed one checkpoint at a time.
-
-    The machine has settled at a checkpoint at time >= `settle_from` when the
-    rounded coloring is identical over the CONVERGENCE_WINDOW most recent
-    checkpoints and max |dtheta/dt| is below CONVERGENCE_EPS at that
-    checkpoint.  Solve runs pass the end of the SHIL ramp as `settle_from`:
-    before it the envelope is still changing, and a run whose phases have
-    not yet moved would count as settled.
-    """
-
-    def __init__(self, settle_from: float):
-        self.settle_from = settle_from
-        self.colorings: deque[np.ndarray] = deque(maxlen=CONVERGENCE_WINDOW)
-
-    def push(self, cp: Checkpoint) -> bool:
-        """Record the next checkpoint; True if the machine has settled at it."""
-        self.colorings.append(cp.coloring.spins)
-        if (cp.time < self.settle_from or cp.max_rate >= CONVERGENCE_EPS
-                or len(self.colorings) < CONVERGENCE_WINDOW):
-            return False
-        return all(np.array_equal(s, cp.coloring.spins) for s in self.colorings)
-
-
 def _rhs_core(
     theta: np.ndarray,
     t: float,
@@ -281,6 +256,23 @@ def _checkpoint_steps(dt: float) -> int:
     return max(1, int(round(CHECKPOINT_STRIDE / dt)))
 
 
+def _settle_step(counts: Optional[np.ndarray], prev_spins: Optional[np.ndarray], spins: np.ndarray,
+                 max_rate: np.ndarray, t: float, settle_from: float) -> tuple[np.ndarray, np.ndarray]:
+    """The settle rule at one checkpoint, for each row of a block.
+
+    A row's count is how many checkpoints in a row, up to the previous one,
+    had its current coloring, counted from t = 0 (``counts`` is None at the
+    first checkpoint).  The row has settled when the count reaches
+    CONVERGENCE_WINDOW - 1, its max |dtheta/dt| is below CONVERGENCE_EPS and
+    t >= `settle_from`, which solve runs set to the end of the ramp (before
+    it, a run whose phases have not moved yet would count as settled).
+    Returns the new counts and the settled mask.
+    """
+    counts = (np.zeros(len(spins), dtype=np.int64) if counts is None
+              else np.where((spins == prev_spins).all(axis=1), counts + 1, 0))
+    return counts, (counts >= CONVERGENCE_WINDOW - 1) & (max_rate < CONVERGENCE_EPS) & (t >= settle_from)
+
+
 def integrate_block(
     graph: Graph,
     inits: Sequence[PhaseState],
@@ -293,27 +285,26 @@ def integrate_block(
     """Fixed-step RK4 integration of a block of runs in lockstep.
 
     Row r starts from ``inits[r]`` with ``params[r]`` and ``seeds[r]``; rows
-    may differ only in their detuning.  The rows' phases form one (rows, n)
-    array, so a step costs the same numpy calls for any number of rows, and
-    each row's every step has the bits it has when the row runs alone.
-    Noise of std ``noise_amplitude * sqrt(dt)`` per step, when enabled, is
-    drawn from a stream derived from the row's seed.  Phases are
-    canonicalized to [0, 2*pi) after every step.  Checkpoints (the Lyapunov
-    value, the rounded coloring and max |dtheta/dt|) are taken every
-    round(CHECKPOINT_STRIDE / dt) steps and at the last step, and passed to
-    ``record(r, checkpoint)`` when given.
+    may differ only in their detuning.  The rows form one (rows, n) phase
+    array, so each step and checkpoint is a fixed set of whole-array passes,
+    and each row's every step has the bits it has when the row runs alone.
+    Noise of std ``noise_amplitude * sqrt(dt)`` per step, when enabled, comes
+    from a stream derived from the row's seed.  Phases are wrapped to
+    [0, 2*pi) after every step (`potts.wrap_phases`).  Checkpoints (the
+    Lyapunov value, the rounded coloring and max |dtheta/dt|) are taken every
+    round(CHECKPOINT_STRIDE / dt) steps and at the last step; Checkpoint
+    objects are built for each row's last one, and for all of them when
+    ``record(r, checkpoint)`` is given.
 
-    A row settles at the first checkpoint that satisfies SettleDetector's
-    rule from the end of the ramp.  It runs to t_max, or with
-    ``settle_exit`` leaves the block once settled, provided the rest of its
-    run would be a fixed gradient flow: no noise, no detuning and an
-    envelope that is not a square wave.  Returns each row's last checkpoint
+    A row settles at the first checkpoint that meets the settle rule
+    (`_settle_step`).  It runs to t_max, or with ``settle_exit`` leaves the
+    block once settled if the rest of its run is a fixed gradient flow: no
+    noise, no detuning, no square wave.  Returns each row's last checkpoint
     and settle time (None if unsettled).  Raises IntegrationDivergedError,
     naming the row's seed, if a phase becomes non-finite, or if a fixed
     gradient flow's Lyapunov value rises by more than 1e-6 per edge and step
-    between two checkpoints while the envelope is constant (before t_on, or
-    from the end of the ramp on).  Both signal a step size too large for the
-    gains.
+    between two checkpoints over which the envelope is constant: a step size
+    too large for the gains.
     """
     n = graph.num_vertices
     if not len(inits) == len(params) == len(seeds) >= 1:
@@ -336,11 +327,10 @@ def integrate_block(
     noise_std = noise * np.sqrt(dt)
     # rows whose run is a fixed gradient flow, which descends the Lyapunov
     # function while the envelope is constant
-    flows = [noise == 0 and p.detuning == 0 and schedule.mode != "square" for p in params]
-    exits = [settle_exit and flow for flow in flows]
+    flows = np.array([noise == 0 and p.detuning == 0 and schedule.mode != "square" for p in params])
+    exits = flows & settle_exit
     rise_tol = 1e-6 * num_edges * ckpt_every
-    settles = [SettleDetector(schedule.ramp_end) for _ in seeds]
-    settled_at: list[Optional[float]] = [None] * len(seeds)
+    settled_at = np.full(len(seeds), np.nan)
     last: list[Optional[Checkpoint]] = [None] * len(seeds)
 
     # block indices of the rows still running, in the order of the arrays below
@@ -350,80 +340,88 @@ def integrate_block(
     detuned = any(p.detuning != 0 for p in params)
     detuning = np.array([[p.detuning] for p in params]) if detuned else None
     theta = np.stack([init.phases for init in inits])
+    # the last checkpoint's time, and per running row its spins, settle count
+    # and Lyapunov value (taken where a rise check reads it, a row ends, or
+    # `record` is given)
+    t_prev = spins = counts = lyap = None
 
     def f(theta: np.ndarray, t: float) -> np.ndarray:
         ks_now = ks_max * schedule.envelope(t)
         k = len(theta) * num_edges
         return _rhs_core(theta, t, block_u[:k], block_v[:k], kc, ks_now, nph, detuning)
 
-    def checkpoint(phases: np.ndarray, t: float, rate: np.ndarray) -> Checkpoint:
-        state = PhaseState(phases)
-        ks_now = ks_max * schedule.envelope(t)
-        return Checkpoint(
-            time=t,
-            state=state,
-            lyapunov=lyapunov(graph, state, kc, ks_now, nph),
-            coloring=quantize(state, nph),
-            max_rate=float(np.max(np.abs(rate))),
-        )
+    def constant(t_a: float, t_b: float) -> bool:
+        """Whether the envelope is constant from t_a to t_b: it is 0 on
+        [0, t_on), and at t_on it is already 1 when the ramp is 0."""
+        return schedule.mode == "off" or t_b < schedule.t_on or t_a >= schedule.ramp_end
 
-    def take_checkpoints(t: float, rates: np.ndarray) -> list[int]:
-        """Checkpoint every running row; the positions of those that end here."""
-        ends = []
-        for k, r in enumerate(rows):
-            prev = last[r]
-            cp = last[r] = checkpoint(theta[k], t, rates[k])
-            # the envelope is 0 on [0, t_on), and at t_on it is already 1
-            # when the ramp is 0
-            if (flows[r] and prev is not None
-                    and (schedule.mode == "off" or t < schedule.t_on or prev.time >= schedule.ramp_end)
-                    and cp.lyapunov > prev.lyapunov + rise_tol):
-                raise IntegrationDivergedError(
-                    f"run with seed {seeds[r]}: Lyapunov value rose from {prev.lyapunov:g} "
-                    f"to {cp.lyapunov:g} between t={prev.time:g} and t={t:g} cycles "
-                    "(reduce dt or the gains)"
-                )
-            if record is not None:
-                record(r, cp)
-            if settled_at[r] is None and settles[r].push(cp):
-                settled_at[r] = t
-                if exits[r]:
-                    ends.append(k)
-        return ends
-
-    # overflow to inf is caught by the isfinite check below, so silence the
-    # intermediate numpy warnings it would spray first
+    # overflow to inf is caught by wrap_phases, so silence the intermediate
+    # numpy warnings it would spray first
     with np.errstate(over="ignore", invalid="ignore"):
         k1 = f(theta, 0.0)
-        ends = take_checkpoints(0.0, k1)
-        for i in range(steps):
-            if ends:
-                keep = np.ones(len(rows), dtype=bool)
-                keep[ends] = False
-                rows, theta, k1 = rows[keep], theta[keep], k1[keep]
-                if detuned:
-                    detuning = detuning[keep]
-                if not len(rows):
-                    break
-                ends = []
+        for i in range(steps + 1):
             t = i * dt
-            k2 = f(theta + 0.5 * dt * k1, t + 0.5 * dt)
-            k3 = f(theta + 0.5 * dt * k2, t + 0.5 * dt)
-            k4 = f(theta + dt * k3, t + dt)
-            theta = theta + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if i % ckpt_every == 0 or i == steps:
+                # k1 is the velocity at this checkpoint
+                state = PhaseState(theta)
+                max_rate = np.abs(k1).max(axis=1)
+                prev_spins, spins = spins, quantize(state, nph).spins
+                counts, settled = _settle_step(counts, prev_spins, spins, max_rate, t,
+                                               schedule.ramp_end)
+                settled &= np.isnan(settled_at[rows])
+                settled_at[rows[settled]] = t
+                ends = settled & exits[rows]
+                # a flow's Lyapunov value is checked against the last checkpoint's
+                # while the envelope is constant, so it is needed for this check
+                # or the next
+                flowing = flows[rows].any()
+                check = flowing and t_prev is not None and constant(t_prev, t)
+                if (check or record is not None or ends.any() or i == steps
+                        or flowing and constant(t, min(i + ckpt_every, steps) * dt)):
+                    lyap_prev, lyap = lyap, lyapunov(graph, state, kc, ks_max * schedule.envelope(t), nph)
+                    if check:
+                        risen = flows[rows] & (lyap > lyap_prev + rise_tol)
+                        if risen.any():
+                            k = np.argmax(risen)
+                            raise IntegrationDivergedError(
+                                f"run with seed {seeds[rows[k]]}: Lyapunov value rose from "
+                                f"{lyap_prev[k]:g} to {lyap[k]:g} between t={t_prev:g} and t={t:g} "
+                                "cycles (reduce dt or the gains)"
+                            )
+                    for k in range(len(rows)) if record is not None or i == steps else np.flatnonzero(ends):
+                        cp = last[rows[k]] = Checkpoint(t, PhaseState(state.phases[k]), float(lyap[k]),
+                                                        Coloring(spins[k], nph), float(max_rate[k]))
+                        if record is not None:
+                            record(rows[k], cp)
+                t_prev = t
+                if ends.any():
+                    keep = ~ends
+                    rows, theta, k1, spins, counts, lyap = (
+                        rows[keep], theta[keep], k1[keep], spins[keep], counts[keep], lyap[keep])
+                    detuning = detuning[keep] if detuned else None
+                    if not len(rows):
+                        break
+            if i == steps:
+                break
+            # the RK4 stages, in place and in the operation order of
+            # theta + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4), so with its bits
+            x = k1 * (0.5 * dt)
+            k2 = f(np.add(x, theta, out=x), t + 0.5 * dt)
+            k3 = f(np.add(np.multiply(k2, 0.5 * dt, out=x), theta, out=x), t + 0.5 * dt)
+            k4 = f(np.add(np.multiply(k3, dt, out=x), theta, out=x), t + dt)
+            acc = np.add(k1, np.multiply(k2, 2.0, out=k2), out=k2)
+            acc += np.multiply(k3, 2.0, out=k3)
+            acc += k4
+            acc *= dt / 6.0
+            theta += acc
             if rngs is not None:
-                theta = theta + np.stack([rngs[r].normal(0.0, noise_std, n) for r in rows])
-            theta %= TWO_PI
-            t_next = (i + 1) * dt
-            if not np.isfinite(theta).all():
+                theta += np.stack([rngs[r].normal(0.0, noise_std, n) for r in rows])
+            if not wrap_phases(theta):
                 seed = seeds[rows[np.argmin(np.isfinite(theta).all(axis=1))]]
                 raise IntegrationDivergedError(
-                    f"run with seed {seed}: non-finite phase at t={t_next:g} cycles "
+                    f"run with seed {seed}: non-finite phase at t={(i + 1) * dt:g} cycles "
                     "(reduce dt or the gains)"
                 )
-            # the next step's k1 is also the velocity a checkpoint here reports
-            k1 = f(theta, t_next)
-            if (i + 1) % ckpt_every == 0 or i + 1 == steps:
-                ends = take_checkpoints(t_next, k1)
-    return list(zip(last, settled_at))
-
+            # the next step's k1 is also the velocity a checkpoint there reports
+            k1 = f(theta, (i + 1) * dt)
+    return [(cp, None if np.isnan(at) else float(at)) for cp, at in zip(last, settled_at)]

@@ -155,6 +155,8 @@ def gen_planted(n: int, m: int, k: int, seed: int) -> PlantedInstance:
         raise ValueError("need n >= k")
     if m < 0:
         raise ValueError("m must be non-negative")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     colors = rng.integers(0, k, size=n)
     counts = np.bincount(colors, minlength=k)

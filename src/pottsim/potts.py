@@ -20,6 +20,29 @@ if TYPE_CHECKING:
 TWO_PI = 2.0 * np.pi
 
 
+def wrap_phases(theta: np.ndarray) -> bool:
+    """``theta %= TWO_PI`` in place, with np.mod's bits except that -0.0
+    stays; False if a phase is not finite.
+
+    After a step of the dynamics, phases lie in [-2*pi, 4*pi), where one
+    subtraction or addition of 2*pi gives np.mod's bits at a fraction of its
+    cost: on [2*pi, 4*pi) x - 2*pi is exact (Sterbenz's lemma), and on
+    [-2*pi, 0) np.mod itself returns x + 2*pi.  Other values, NaN and inf
+    among them, take np.mod.  Both branches map a zero to +0.0, and x + y is
+    -0.0 only if x and y are, so phases that start without -0.0 never hold it.
+    """
+    lo, hi = theta.min(initial=np.inf), theta.max(initial=-np.inf)
+    if -TWO_PI <= lo and hi < 2 * TWO_PI:
+        if hi >= TWO_PI:
+            np.subtract(theta, TWO_PI, out=theta, where=theta >= TWO_PI)
+        if lo < 0:
+            np.add(theta, TWO_PI, out=theta, where=theta < 0)
+        return True
+    with np.errstate(invalid="ignore"):
+        theta %= TWO_PI
+    return bool(np.isfinite(theta).all())
+
+
 @dataclass(frozen=True)
 class Coloring:
     """Discrete spin assignment: spins[i] in {0, ..., num_phases - 1}."""
@@ -41,15 +64,17 @@ class Coloring:
 
 @dataclass(frozen=True)
 class PhaseState:
-    """Continuous oscillator phases, stored canonically in [0, 2*pi)."""
+    """Continuous oscillator phases, stored canonically in [0, 2*pi); a 2-D
+    array holds a block of runs, one per row."""
 
     phases: np.ndarray
 
     def __post_init__(self):
-        phases = np.asarray(self.phases, dtype=np.float64)
-        if not np.all(np.isfinite(phases)):
+        # a copy with -0.0 as +0.0, which np.mod gives and wrap_phases keeps
+        phases = np.add(np.asarray(self.phases, dtype=np.float64), 0.0)
+        if not wrap_phases(phases):
             raise ValueError("non-finite phase")
-        object.__setattr__(self, "phases", np.mod(phases, TWO_PI))
+        object.__setattr__(self, "phases", phases)
 
     def __len__(self) -> int:
         return len(self.phases)
@@ -70,12 +95,21 @@ def delta_energy(graph: Graph, coloring: Coloring) -> float:
     return float(np.count_nonzero(s[u] == s[v]))
 
 
+def _row_sums(x: np.ndarray):
+    """Sums over the last axis: a float for a vector, else one per row."""
+    sums = np.sum(x, axis=-1)
+    return float(sums) if x.ndim == 1 else sums
+
+
 def vector_energy(graph: Graph, state: PhaseState) -> float:
-    """Continuous relaxation: sum of cos(theta_i - theta_j) over edges."""
-    _check_length(graph, len(state), "state")
-    u, v = graph.edge_arrays()
+    """Continuous relaxation: sum of cos(theta_i - theta_j) over edges (per
+    row for a block of runs)."""
     th = state.phases
-    return float(np.sum(np.cos(th[u] - th[v])))
+    _check_length(graph, th.shape[-1], "state")
+    u, v = graph.edge_arrays()
+    # np.take keeps a block C-contiguous (th[..., u] would be F-ordered), so
+    # each row is summed with the bits of its sum alone
+    return _row_sums(np.cos(np.take(th, u, axis=-1) - np.take(th, v, axis=-1)))
 
 
 def lattice_state(coloring: Coloring) -> PhaseState:
@@ -124,11 +158,12 @@ def lyapunov(
         - (K_s / N) * sum_i cos(N * theta_i)
 
     The SHIL well term is minimized exactly at the lattice phases; with
-    shil_gain = 0 this reduces to ``coupling_gain * vector_energy``.
+    shil_gain = 0 this reduces to ``coupling_gain * vector_energy``.  A block
+    of runs gets one value per row.
     """
     if coupling_gain < 0 or shil_gain < 0:
         raise ValueError("gains must be non-negative")
-    well = float(np.sum(np.cos(n_phases * state.phases)))
+    well = _row_sums(np.cos(n_phases * state.phases))
     return coupling_gain * vector_energy(graph, state) - (shil_gain / n_phases) * well
 
 

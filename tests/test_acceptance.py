@@ -234,7 +234,7 @@ def test_criterion_5_dynamics_correctness():
          f"round-trip {'ok' if round_ok else 'broken'}")
     assert grad_ok, f"rhs vs finite-difference gradient error {max_err:.2e} > 1e-6"
     assert descent_ok, "Lyapunov increased on a constant-envelope segment"
-    assert round_ok, "quantize(lattice_phase(s)) != s for some spin"
+    assert round_ok, "quantize(lattice_state(s)) != s for some spin"
 
 
 def test_criterion_6_detuning():

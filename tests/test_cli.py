@@ -281,6 +281,13 @@ class TestGenCommand:
         assert "error:" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        rc = main(["gen", "--n", "10", "--m", "12", "--seed", "-1",
+                   "--out", str(tmp_path / "g.col")])
+        assert rc == 1
+        assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_infeasible_request_errors(self, tmp_path, capsys):
         rc = main(["gen", "--n", "4", "--m", "7", "--k", "2", "--seed", "1",
                    "--out", str(tmp_path / "x.col")])

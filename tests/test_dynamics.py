@@ -5,23 +5,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pottsim import DynamicsParams, ShilSchedule
+from pottsim import DynamicsParams, ShilSchedule, dynamics
 from pottsim.graph_io import Graph
 from pottsim.potts import (
+    TWO_PI,
     Coloring,
     PhaseState,
     accuracy,
     lattice_deviation,
     lattice_state,
     lyapunov,
+    quantize,
 )
 from pottsim.dynamics import (
     CONVERGENCE_WINDOW,
     Checkpoint,
     IntegrationDivergedError,
-    SettleDetector,
     Trajectory,
     _rhs_core,
+    _settle_step,
     integrate,
     integrate_block,
     random_init,
@@ -437,6 +439,32 @@ class TestIntegrate:
         # the settle rule held well before t_max, so only the gate kept it running
         assert settle < params.t_max - 5.0
 
+    @pytest.mark.parametrize("params, sched", [
+        (DynamicsParams(t_max=12.0), ShilSchedule()),
+        (DynamicsParams(noise_amplitude=0.05, t_max=6.0),
+         ShilSchedule(t_on=1.0, ramp=1.0, mode="square", period=1.5)),
+    ], ids=["flow", "noisy-square"])
+    def test_block_checkpoints_match_the_row_reference(self, params, sched):
+        # the block-wide Lyapunov sums and quantization give each row the
+        # bits of potts.lyapunov and potts.quantize on that row alone
+        graph = random_colorable_graph(30, 66, seed=4)
+        seeds = [3, 4, 5, 6, 7]
+        recorded = []
+        integrate_block(graph, [random_init(30, s) for s in seeds], [params] * len(seeds), sched,
+                        seeds, record=lambda row, cp: recorded.append((row, cp)))
+        traj = integrate(graph, random_init(30, 3), params, sched, seed=3)
+        # row 0 of the block is the run alone, checkpoint for checkpoint
+        for a, b in zip([cp for row, cp in recorded if row == 0], traj.checkpoints, strict=True):
+            assert (a.time, a.lyapunov, a.max_rate) == (b.time, b.lyapunov, b.max_rate)
+            assert a.state.phases.tobytes() == b.state.phases.tobytes()
+            assert np.array_equal(a.coloring.spins, b.coloring.spins)
+        for cp in [cp for _, cp in recorded] + list(traj.checkpoints):
+            ks_now = params.shil_gain_max * sched.envelope(cp.time)
+            assert cp.lyapunov == lyapunov(graph, cp.state, params.coupling_gain, ks_now,
+                                           params.n_phases)
+            assert np.array_equal(cp.coloring.spins, quantize(cp.state, params.n_phases).spins)
+        assert len(recorded) == len(seeds) * len(traj.checkpoints)
+
 
 def constant_checkpoints(coloring: Coloring, count: int, stride: float = 0.5) -> list[Checkpoint]:
     state = lattice_state(coloring)
@@ -448,9 +476,16 @@ def constant_checkpoints(coloring: Coloring, count: int, stride: float = 0.5) ->
 
 
 def first_settle(checkpoints: list[Checkpoint], settle_from: float):
-    """Time of the first checkpoint at which SettleDetector reports a settle."""
-    settle = SettleDetector(settle_from)
-    return next((cp.time for cp in checkpoints if settle.push(cp)), None)
+    """Time of the first checkpoint at which the settle counter of a
+    one-row block reports a settle."""
+    counts = spins = None
+    for cp in checkpoints:
+        counts, settled = _settle_step(counts, spins, cp.coloring.spins[None],
+                                       np.array([cp.max_rate]), cp.time, settle_from)
+        spins = cp.coloring.spins[None]
+        if settled[0]:
+            return cp.time
+    return None
 
 
 class TestDetectConvergence:
@@ -472,6 +507,19 @@ class TestDetectConvergence:
         assert first_settle(cps, 10.0) == 10.0
         assert first_settle(cps, 20.0) is None
 
+    def test_rows_settle_on_their_own_counts(self):
+        # one row holds its coloring; the other flickers, then holds from t = 2
+        a, b = np.array([0, 1, 2]), np.array([1, 2, 0])
+        counts = spins = None
+        settle_times = [None, None]
+        for i in range(12):
+            now = np.stack([a, b if i % 2 and i < 5 else a])
+            counts, settled = _settle_step(counts, spins, now, np.zeros(2), i * 0.5, 0.0)
+            spins = now
+            for row in np.flatnonzero(settled):
+                settle_times[row] = settle_times[row] or i * 0.5
+        assert settle_times == [(CONVERGENCE_WINDOW - 1) * 0.5, (4 + CONVERGENCE_WINDOW - 1) * 0.5]
+
     def test_high_rate_blocks_convergence(self):
         coloring = Coloring([0, 1, 2], 3)
         cps = [
@@ -486,3 +534,33 @@ class TestTrajectory:
         cp = Checkpoint(1.0, lattice_state(coloring), 0.0, coloring, 0.0)
         with pytest.raises(ValueError):
             Trajectory((cp, cp), 0.5)
+
+
+class TestWrapPhases:
+    @pytest.mark.parametrize("params", [
+        DynamicsParams(t_max=10.0),
+        # steps of several turns: the range test fails and np.mod wraps
+        DynamicsParams(coupling_gain=500.0, noise_amplitude=0.01, t_max=2.0),
+    ], ids=["default", "large-kc-noisy"])
+    def test_every_step_wraps_like_np_mod(self, k4, monkeypatch, params):
+        spans = []
+        real = dynamics.wrap_phases
+
+        def checked(theta):
+            want = np.mod(theta, TWO_PI)
+            spans.append((theta.min(), theta.max()))
+            assert real(theta)
+            assert theta.tobytes() == want.tobytes()
+            return True
+
+        monkeypatch.setattr(dynamics, "wrap_phases", checked)
+        traj = integrate(k4, random_init(4, 2), params, ShilSchedule(), seed=2)
+        beyond = [lo < -TWO_PI or hi >= 2 * TWO_PI for lo, hi in spans]
+        assert any(beyond) == (params.coupling_gain == 500.0)
+        final = traj.final.state.phases
+        assert np.all(np.isfinite(final)) and np.all((0 <= final) & (final < TWO_PI))
+
+    def test_non_finite_phase_names_the_seed(self, k4):
+        params = DynamicsParams(coupling_gain=1e308, noise_amplitude=0.01, t_max=1.0)
+        with pytest.raises(IntegrationDivergedError, match="seed 7: non-finite phase at t="):
+            integrate(k4, random_init(4, seed=7), params, ShilSchedule(), seed=7)

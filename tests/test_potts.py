@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from pottsim.graph_io import Graph
 from pottsim.potts import (
+    TWO_PI,
     Coloring,
     PhaseState,
     accuracy,
@@ -18,6 +19,7 @@ from pottsim.potts import (
     lyapunov,
     quantize,
     vector_energy,
+    wrap_phases,
 )
 
 from strategies import colorings, graphs
@@ -199,3 +201,50 @@ class TestLatticeDeviation:
         # farthest you can be from the 3-phase lattice is pi/3
         state = PhaseState([np.pi / 3])
         assert lattice_deviation(state, 3)[0] == pytest.approx(np.pi / 3)
+
+
+# np.mod's edge cases at and beyond the ends of the wrap's fast range
+WRAP_EDGES = [
+    0.0, 1e-300, -1e-300, -1e-17, 3.0, np.nextafter(TWO_PI, 0.0), TWO_PI,
+    np.nextafter(TWO_PI, np.inf), np.nextafter(2 * TWO_PI, 0.0), 2 * TWO_PI, 100.0,
+    -TWO_PI, np.nextafter(-TWO_PI, 0.0), np.nextafter(-TWO_PI, -np.inf), -100.0,
+]
+
+
+def wrapped(x) -> np.ndarray:
+    theta = np.array(x, dtype=np.float64)
+    assert wrap_phases(theta)
+    return theta
+
+
+class TestWrapPhases:
+    @pytest.mark.parametrize("x", WRAP_EDGES)
+    def test_edge_values_match_np_mod(self, x):
+        # alone, and beside a phase that keeps the block in the fast range
+        for block in ([x], [x, 1.0]):
+            assert wrapped(block).tobytes() == np.mod(np.array(block), TWO_PI).tobytes()
+
+    # -0.0 is left out: np.mod maps it to +0.0 and the fast path keeps it,
+    # but no phase of a run is -0.0 (see wrap_phases)
+    @given(st.lists(st.floats(-TWO_PI, 2 * TWO_PI, exclude_max=True)
+                    .filter(lambda x: not (x == 0.0 and np.signbit(x))), min_size=1, max_size=60))
+    def test_fast_range_matches_np_mod(self, xs):
+        assert wrapped(xs).tobytes() == np.mod(np.array(xs), TWO_PI).tobytes()
+
+    def test_keeps_negative_zero(self):
+        assert np.signbit(wrapped([-0.0, 1.0])[0])
+
+    @given(st.lists(st.floats(-4 * TWO_PI, 4 * TWO_PI), min_size=1, max_size=60))
+    def test_phase_state_is_np_mod(self, xs):
+        # PhaseState maps -0.0 to +0.0 first, so it has np.mod's bits everywhere
+        assert PhaseState(xs).phases.tobytes() == np.mod(np.array(xs), TWO_PI).tobytes()
+        block = np.array([xs, xs[::-1]])
+        assert PhaseState(block).phases.tobytes() == np.mod(block, TWO_PI).tobytes()
+
+    def test_phase_state_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            PhaseState([0.0, np.nan])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_is_reported(self, bad):
+        assert not wrap_phases(np.array([1.0, bad, 2 * TWO_PI]))
