@@ -3,13 +3,14 @@
 
     python3 scripts/compare_reports.py OLD_DIR NEW_DIR
 
-Reads `solve`/`ablate` JSON reports, `detune` CSV sweeps and `bench` JSON
-summaries.  Prints one markdown table row per report: the number of
-records, whether every discrete value is equal (per run: seed, accuracy,
-delta_energy and cycles; per detune row: delta; per bench row: the whole
-row), whether every real value is bit-equal (`vector_energy`, or a detune
-row's mean deviation), the largest |difference| in those real values, and
-whether the files are byte-identical.
+Reads every pottsim table, JSON or CSV: `solve`/`ablate` reports, `bench`
+summaries, `detune` sweeps and `landscape` curves.  Prints one markdown
+table row per report: the number of records, whether every discrete value
+is equal (per run: seed, accuracy, delta_energy and cycles; per detune row:
+delta; per landscape row: index; per bench row: the whole row), whether
+every real value is bit-equal (`vector_energy`, a detune row's mean
+deviation, or a landscape energy), the largest |difference| in those real
+values, and whether the files are byte-identical.
 
 Exits 1 if a discrete value differs, a report has a different number of
 records, or a report is missing from one side; real values only print.
@@ -22,19 +23,44 @@ import sys
 from pathlib import Path
 
 
-def records(path: Path) -> list[tuple[tuple, float | None]]:
-    """(discrete values, real value) per run, detune row or bench row."""
+def _cell(text: str):
+    """A CSV cell as the value its JSON form holds: None, int, float or str."""
+    if text == "":
+        return None
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def rows(path: Path) -> list[dict]:
+    """The rows of a table as {column: value}: a JSON report's runs or rows,
+    or the lines under a CSV table's `# {json}` comment and header."""
     text = path.read_text()
     if path.suffix == ".json":
         doc = json.loads(text)
-        if "runs" in doc:
-            return [((r["seed"], r["accuracy"], r["delta_energy"], r["cycles"]), r["vector_energy"])
-                    for r in doc["runs"]]
-        return [(tuple(sorted(row.items())), None) for row in doc["rows"]]
+        return doc["runs"] if "runs" in doc else doc["rows"]
     lines = text.splitlines()
-    if len(lines) < 2 or lines[1] != "delta,mean_deviation_deg":
-        raise ValueError(f"{path}: not a JSON report or a detune sweep")
-    return [((float(delta),), float(dev)) for delta, dev in (line.split(",") for line in lines[2:])]
+    if len(lines) < 2 or not lines[0].startswith("# "):
+        raise ValueError(f"{path}: not a JSON report or a pottsim CSV table")
+    columns = lines[1].split(",")
+    return [dict(zip(columns, map(_cell, line.split(",")))) for line in lines[2:]]
+
+
+def records(path: Path) -> list[tuple[tuple, float | None]]:
+    """(discrete values, real value) per run, detune row, landscape row or bench row."""
+    table = rows(path)
+    columns = set(table[0]) if table else set()
+    if "seed" in columns:
+        return [((r["seed"], r["accuracy"], r["delta_energy"], r["cycles"]), r["vector_energy"])
+                for r in table]
+    if {"delta", "mean_deviation_deg"} <= columns:
+        return [((r["delta"],), r["mean_deviation_deg"]) for r in table]
+    if {"index", "energy"} <= columns:
+        return [((r["index"],), r["energy"]) for r in table]
+    return [(tuple(sorted(r.items())), None) for r in table]
 
 
 def compare(old: Path, new: Path) -> tuple[bool, str]:

@@ -8,14 +8,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 from pathlib import Path
 
 from .dynamics import DynamicsParams, IntegrationDivergedError, ShilSchedule
 from .graph_io import DimacsError, gen_planted, parse_dimacs, planted_sidecar, write_dimacs
-from .oracle import enumerate_landscape, landscape_csv
+from .oracle import enumerate_landscape
 from .solver import (
     AblationMode,
     detune_protocol_params,
@@ -24,9 +23,12 @@ from .solver import (
     report_csv,
     report_json,
     solve_multi,
+    table_text,
 )
 
 DEFAULT_DELTAS = "0,10,-10,30,-30,80,-80,150,-150,300,-300"
+BENCH_COLUMNS = ("benchmark", "iterations", "mean_cycles", "num_converged",
+                 "avg_accuracy", "best_accuracy")
 
 
 def _add_dynamics_flags(p: argparse.ArgumentParser):
@@ -110,42 +112,20 @@ def _cmd_bench(args) -> int:
     rows = []
     for path in files:
         graph = parse_dimacs(path.read_text())
-        report = solve_multi(
-            graph, params, schedule, args.iters, args.seed,
-            benchmark=path.stem, jobs=args.jobs,
-        )
-        rows.append(
-            {
-                "benchmark": report.benchmark,
-                "iterations": report.num_runs,
-                "mean_cycles": report.mean_cycles,
-                "num_converged": report.num_converged,
-                "avg_accuracy": report.avg_accuracy,
-                "best_accuracy": report.best_accuracy,
-            }
-        )
+        r = solve_multi(graph, params, schedule, args.iters, args.seed,
+                        benchmark=path.stem, jobs=args.jobs)
+        rows.append((r.benchmark, r.num_runs, r.mean_cycles, r.num_converged,
+                     r.avg_accuracy, r.best_accuracy))
     cfg = effective_config(params, schedule, args.iters, args.seed)
-    if args.format == "json":
-        text = json.dumps({"params": cfg, "rows": rows}, indent=2) + "\n"
-    else:
-        lines = ["# " + json.dumps({"params": cfg})]
-        lines.append("benchmark,iterations,mean_cycles,num_converged,avg_accuracy,best_accuracy")
-        for r in rows:
-            cyc = "" if r["mean_cycles"] is None else repr(r["mean_cycles"])
-            lines.append(
-                f"{r['benchmark']},{r['iterations']},{cyc},{r['num_converged']},"
-                f"{repr(r['avg_accuracy'])},{repr(r['best_accuracy'])}"
-            )
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+    _emit(table_text({"params": cfg}, BENCH_COLUMNS, rows, args.format), args.out)
     return 0
 
 
 def _cmd_landscape(args) -> int:
     graph = parse_dimacs(args.file.read_text())
     scape = enumerate_landscape(graph, args.n_phases)
-    head = "# " + json.dumps({"benchmark": args.file.stem, "n_phases": args.n_phases}) + "\n"
-    _emit(head + landscape_csv(scape), args.out)
+    _emit(table_text({"benchmark": args.file.stem, "n_phases": args.n_phases},
+                     ("index", "energy"), enumerate(scape.energies.tolist())), args.out)
     print(
         f"{args.file.stem}: {scape.n_states} states, min energy {scape.min_energy:.6g}, "
         f"{scape.num_global_minima} global minima, {scape.num_local_minima} local minima",
@@ -164,11 +144,8 @@ def _cmd_detune(args) -> int:
     sweep = detune_sweep(graph, params, schedule, deltas, args.iters,
                          base_seed=args.seed, jobs=args.jobs)
     cfg = effective_config(params, schedule, args.iters, args.seed)
-    lines = ["# " + json.dumps({"benchmark": args.file.stem, "params": cfg})]
-    lines.append("delta,mean_deviation_deg")
-    for delta, dev in sweep:
-        lines.append(f"{repr(delta)},{repr(dev)}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(table_text({"benchmark": args.file.stem, "params": cfg},
+                     ("delta", "mean_deviation_deg"), sweep, args.format), args.out)
     return 0
 
 
@@ -230,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated detuning rates (rad/cycle)")
     _add_run_flags(p, default_iters=10)
     _add_dynamics_flags(p)
-    p.set_defaults(func=_cmd_detune)
+    p.set_defaults(func=_cmd_detune, format="csv")
 
     p = sub.add_parser("gen", help="generate a planted K-colorable instance")
     p.add_argument("--n", type=int, required=True)

@@ -88,7 +88,7 @@ class ShilSchedule:
 
     mode "constant" holds the envelope at 1 after the ramp, "square" gates it
     with a square wave of the given period and duty cycle (an annealing
-    schedule), "off" disables the stimulus entirely.
+    schedule).  A run without SHIL sets t_on beyond t_max or the gain to 0.
     """
 
     t_on: float = 5.0
@@ -100,7 +100,7 @@ class ShilSchedule:
     def __post_init__(self):
         if not (0 <= self.t_on < np.inf and 0 <= self.ramp < np.inf):
             raise ValueError("t_on and ramp must be finite and >= 0")
-        if self.mode not in ("off", "constant", "square"):
+        if self.mode not in ("constant", "square"):
             raise ValueError(f"unknown schedule mode {self.mode!r}")
         if self.mode == "square":
             if not 0 < self.period < np.inf:
@@ -114,7 +114,7 @@ class ShilSchedule:
         return self.t_on + self.ramp
 
     def envelope(self, t: float) -> float:
-        if self.mode == "off" or t < self.t_on:
+        if t < self.t_on:
             return 0.0
         if self.ramp > 0 and t < self.ramp_end:
             return (t - self.t_on) / self.ramp
@@ -168,8 +168,8 @@ def _rhs_core(
     `u` and `v` index the flattened phases, so in a block each row's edges are
     offset by its row times the vertex count.  Every bincount bin then sums
     its terms in edge order, and a row's velocities have the same bits as the
-    run's on its own.  `detuning` is a number, a column of one rate per row,
-    or None when no row is detuned.
+    run's on its own.  `detuning` is None when no row is detuned, else a
+    (rows, 1) column of one rate per row (a lone run's rate may be a number).
 
     One transcendental pass serves the whole call: with h = tan(theta / 2),
     w = 2 / (1 + h^2) gives sin(theta) = h * w and cos(theta) = w - 1, and
@@ -353,7 +353,7 @@ def integrate_block(
     def constant(t_a: float, t_b: float) -> bool:
         """Whether the envelope is constant from t_a to t_b: it is 0 on
         [0, t_on), and at t_on it is already 1 when the ramp is 0."""
-        return schedule.mode == "off" or t_b < schedule.t_on or t_a >= schedule.ramp_end
+        return t_b < schedule.t_on or t_a >= schedule.ramp_end
 
     # overflow to inf is caught by wrap_phases, so silence the intermediate
     # numpy warnings it would spray first

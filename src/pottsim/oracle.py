@@ -113,9 +113,3 @@ def count_proper_colorings(graph: Graph, k: int) -> int:
         total += int(np.count_nonzero(proper))
     return total
 
-
-def landscape_csv(landscape: Landscape) -> str:
-    """Sorted (index, energy) rows for plotting the landscape curve."""
-    rows = ["index,energy"]
-    rows += [f"{i},{repr(float(e))}" for i, e in enumerate(landscape.energies)]
-    return "\n".join(rows) + "\n"

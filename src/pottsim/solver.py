@@ -334,9 +334,17 @@ def report_json(report: SolveReport) -> str:
 
 def report_csv(report: SolveReport) -> str:
     """One row per run, with the configuration embedded as a comment line."""
-    head = "# " + json.dumps({"benchmark": report.benchmark, "params": report.params})
-    rows = [head, "seed,accuracy,delta_energy,vector_energy,cycles"]
-    for r in report.runs:
-        cyc = "" if r.cycles is None else repr(r.cycles)
-        rows.append(f"{r.seed},{repr(r.accuracy)},{repr(r.delta_energy)},{repr(r.vector_energy)},{cyc}")
-    return "\n".join(rows) + "\n"
+    return table_text({"benchmark": report.benchmark, "params": report.params},
+                      [f.name for f in dataclasses.fields(RunRecord)],
+                      [dataclasses.astuple(r) for r in report.runs])
+
+
+def table_text(head: dict, columns: Sequence[str], rows, fmt: str = "csv") -> str:
+    """Every pottsim table, from tuples of Python scalars.  CSV: `# ` + `head` as
+    JSON, the column names, one line per row of str() cells (a float's repr;
+    None is empty).  JSON: `head`'s keys and "rows", one {column: value} each."""
+    if fmt == "json":
+        return json.dumps({**head, "rows": [dict(zip(columns, row)) for row in rows]}, indent=2) + "\n"
+    lines = ["# " + json.dumps(head), ",".join(columns)]
+    lines += [",".join("" if x is None else str(x) for x in row) for row in rows]
+    return "\n".join(lines) + "\n"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import threading
@@ -8,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pottsim import gen_planted, parse_dimacs, write_dimacs
+from pottsim import DynamicsParams, ShilSchedule, gen_planted, parse_dimacs, write_dimacs
 from pottsim.potts import Coloring, accuracy
 from pottsim.cli import main
+from pottsim.solver import detune_protocol_params, effective_config
 
 from conftest import BENCH_DIR, random_colorable_graph
 
@@ -223,6 +225,22 @@ class TestDetuneCommand:
         assert len(lines) == 4
         assert float(lines[2].split(",")[1]) < float(lines[3].split(",")[1])
 
+    def test_format_json_holds_the_csv_rows(self, tiny_col, tmp_path):
+        argv = ["detune", str(tiny_col), "--deltas", "0,200", "--iters", "1", "--t-max", "2"]
+        outs = {}
+        for name, extra in (("default", []), ("csv", ["--format", "csv"]),
+                            ("json", ["--format", "json"])):
+            outs[name] = tmp_path / f"{name}.out"
+            assert main([*argv, *extra, "--out", str(outs[name])]) == 0
+        assert outs["default"].read_bytes() == outs["csv"].read_bytes()
+        lines = outs["csv"].read_text().split("\n")
+        doc = json.loads(outs["json"].read_text())
+        assert set(doc) == {"benchmark", "params", "rows"}
+        assert {"benchmark": doc["benchmark"], "params": doc["params"]} == json.loads(lines[0][2:])
+        assert doc["rows"] == [{"delta": float(delta), "mean_deviation_deg": float(dev)}
+                               for delta, dev in (line.split(",") for line in lines[2:-1])]
+        assert len(doc["rows"]) == 2
+
     def test_detune_flag_must_be_zero(self, tiny_col, tmp_path, capsys):
         # the sweep sets each run's rate from --deltas, so a nonzero --detune
         # would be ignored yet recorded in the header
@@ -238,6 +256,58 @@ class TestDetuneCommand:
         detuning = str(header["params"]["dynamics"]["detuning"])
         assert main([*argv, "--detune", detuning, "--out", str(zero)]) == 0
         assert plain.read_bytes() == zero.read_bytes()
+
+
+FAST_CONFIG = effective_config(DynamicsParams(t_max=15.0), ShilSchedule(), 3, 0)
+RUN_COLUMNS = ["seed", "accuracy", "delta_energy", "vector_energy", "cycles"]
+BENCH_COLUMNS = ["benchmark", "iterations", "mean_cycles", "num_converged",
+                 "avg_accuracy", "best_accuracy"]
+DETUNE_FLAGS = ["--iters", "1", "--deltas", "0,30", "--t-max", "2"]
+DETUNE_HEAD = {"benchmark": "tiny", "params": effective_config(
+    dataclasses.replace(detune_protocol_params(), t_max=2.0), ShilSchedule(), 1, 0)}
+
+
+@pytest.mark.parametrize("argv, fmt, head, columns, num_rows", [
+    (["solve", "{col}", *FAST_FLAGS], "csv", {"benchmark": "tiny", "params": FAST_CONFIG},
+     RUN_COLUMNS, 3),
+    (["ablate", "{col}", "--mode", "none", *FAST_FLAGS], "csv",
+     {"benchmark": "tiny", "params": {**FAST_CONFIG, "mode": "none"}}, RUN_COLUMNS, 3),
+    (["bench", "{dir}", *FAST_FLAGS], "csv", {"params": FAST_CONFIG}, BENCH_COLUMNS, 1),
+    (["bench", "{dir}", *FAST_FLAGS], "json", {"params": FAST_CONFIG}, BENCH_COLUMNS, 1),
+    (["detune", "{col}", *DETUNE_FLAGS], "csv", DETUNE_HEAD, ["delta", "mean_deviation_deg"], 2),
+    (["detune", "{col}", *DETUNE_FLAGS], "json", DETUNE_HEAD, ["delta", "mean_deviation_deg"], 2),
+    (["landscape", "{k3}", "--n-phases", "3"], None, {"benchmark": "k3", "n_phases": 3},
+     ["index", "energy"], 27),
+], ids=["solve-csv", "ablate-none-csv", "bench-csv", "bench-json", "detune-csv", "detune-json",
+        "landscape"])
+def test_every_table_speaks_one_dialect(tmp_path, argv, fmt, head, columns, num_rows):
+    # CSV: `# ` + the head as JSON, the column names, one line per row, a None
+    # cell empty.  JSON: the head's keys and one {column: value} per row.
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    (suite / "tiny.col").write_text(write_dimacs(random_colorable_graph(12, 24, seed=1)))
+    (tmp_path / "k3.col").write_text("p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n")
+    paths = {"{col}": suite / "tiny.col", "{dir}": suite, "{k3}": tmp_path / "k3.col"}
+    out = tmp_path / "table.out"
+    argv = [str(paths.get(tok, tok)) for tok in argv]
+    assert main([*argv, *(["--format", fmt] if fmt else []), "--out", str(out)]) == 0
+    text = out.read_text()
+    if fmt == "json":
+        doc = json.loads(text)
+        rows = doc.pop("rows")
+        assert doc == head
+        assert all(list(row) == columns for row in rows)
+        assert len(rows) == num_rows
+        return
+    lines = text.split("\n")
+    assert lines[0].startswith("# ") and json.loads(lines[0][2:]) == head
+    assert lines[1].split(",") == columns
+    assert lines[-1] == "" and len(lines[2:-1]) == num_rows
+    cells = [line.split(",") for line in lines[2:-1]]
+    assert all(len(row) == len(columns) for row in cells)
+    if argv[0] == "ablate":
+        # mode none scores the initial states, so no run has a cycle count
+        assert [row[-1] for row in cells] == [""] * num_rows
 
 
 class TestGenCommand:

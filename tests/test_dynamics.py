@@ -80,8 +80,9 @@ class TestParamsValidation:
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
             ShilSchedule(t_on=-1.0)
-        with pytest.raises(ValueError):
-            ShilSchedule(mode="sawtooth")
+        for mode in ("sawtooth", "off"):
+            with pytest.raises(ValueError, match="unknown schedule mode"):
+                ShilSchedule(mode=mode)
         with pytest.raises(ValueError):
             ShilSchedule(mode="square", period=0.0)
         with pytest.raises(ValueError):
@@ -102,10 +103,6 @@ class TestEnvelope:
         assert sched.envelope(4.0) == pytest.approx(0.5)
         assert sched.envelope(6.0) == 1.0
         assert sched.envelope(100.0) == 1.0
-
-    def test_off_mode(self):
-        sched = ShilSchedule(t_on=0.0, ramp=0.0, mode="off")
-        assert all(sched.envelope(t) == 0.0 for t in (0.0, 5.0, 50.0))
 
     def test_square_wave(self):
         sched = ShilSchedule(t_on=0.0, ramp=0.0, mode="square", period=2.0, duty=0.5)
@@ -257,7 +254,7 @@ class TestIntegrate:
         # alone to t_max
         sched=st.sampled_from([ShilSchedule(t_on=1.0, ramp=1.0), ShilSchedule(t_on=0.0, ramp=0.0),
                                ShilSchedule(t_on=1.0, ramp=0.0), ShilSchedule(t_on=8.0, ramp=1.0),
-                               ShilSchedule(t_on=0.0, ramp=10.0, mode="off")]),
+                               ShilSchedule(t_on=10.0, ramp=0.0)]),
         seed=st.integers(0, 1000),
     )
     def test_unflagged_flow_descends_lyapunov(self, graph, kc, ks_share, n_phases, dt, sched, seed):
@@ -279,7 +276,7 @@ class TestIntegrate:
             return
         tol = 1e-6 * graph.num_edges * int(round(traj.stride / dt))
         for a, b in zip(traj.checkpoints, traj.checkpoints[1:]):
-            if sched.mode == "off" or b.time < sched.t_on or a.time >= sched.ramp_end:
+            if b.time < sched.t_on or a.time >= sched.ramp_end:
                 assert b.lyapunov <= a.lyapunov + tol
 
     def test_well_switched_on_whole_is_not_a_rise(self):
@@ -295,8 +292,8 @@ class TestIntegrate:
     @pytest.mark.parametrize("sched", [
         ShilSchedule(),
         ShilSchedule(t_on=0.0, ramp=0.0),
-        ShilSchedule(t_on=0.0, ramp=20.0, mode="off"),
-    ], ids=["before-t_on", "after-ramp", "off"])
+        ShilSchedule(t_on=20.0, ramp=0.0),
+    ], ids=["before-t_on", "after-ramp", "never-on"])
     def test_rising_lyapunov_raises_with_seed(self, k4, sched):
         # K_c = 40 at dt = 0.05: the couplings alone overshoot every step,
         # yet the phases stay finite because they are wrapped mod 2*pi

@@ -5,7 +5,7 @@ import pytest
 
 from pottsim.graph_io import Graph
 from pottsim.potts import Coloring, accuracy
-from pottsim.oracle import count_proper_colorings, enumerate_landscape, landscape_csv
+from pottsim.oracle import count_proper_colorings, enumerate_landscape
 
 from conftest import random_colorable_graph
 
@@ -51,13 +51,6 @@ class TestEnumerateLandscape:
         graph = Graph(15, [(0, 1)])
         with pytest.raises(ValueError, match="guard"):
             enumerate_landscape(graph, 3)
-
-    def test_csv_export(self, k3):
-        text = landscape_csv(enumerate_landscape(k3, 3))
-        lines = text.strip().split("\n")
-        assert lines[0] == "index,energy"
-        assert len(lines) == 28
-        assert float(lines[1].split(",")[1]) == pytest.approx(-1.5)
 
 
 class TestCountProperColorings:
