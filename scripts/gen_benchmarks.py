@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from pottsim import gen_planted, planted_sidecar, write_dimacs
+from pottsim.cli import main as pottsim
 
 FLAT_SIZES = [
     (30, 60),
@@ -28,10 +28,11 @@ RANDOM_SIZES = {"rnd_1000": (1000, 2682), "rnd_2000": (2000, 5662)}
 
 
 def write_instance(directory: Path, name: str, n: int, m: int, seed: int):
-    instance = gen_planted(n, m, 3, seed)
-    (directory / f"{name}.col").write_text(write_dimacs(instance.graph))
-    (directory / f"{name}.json").write_text(planted_sidecar(instance) + "\n")
-    print(f"{name}.col: n={n} m={m} seed={seed}")
+    """`pottsim gen`, which writes the .col and its .json sidecar atomically."""
+    argv = ["gen", "--n", str(n), "--m", str(m), "--k", "3", "--seed", str(seed),
+            "--out", str(directory / f"{name}.col")]
+    if pottsim(argv) != 0:
+        raise SystemExit(f"pottsim {' '.join(argv)} failed")
 
 
 def main():

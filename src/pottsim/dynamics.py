@@ -16,7 +16,6 @@ oscillator cycles.
 """
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -80,6 +79,8 @@ class DynamicsParams:
             )
         if not np.isfinite(self.t_max) or self.t_max < 0:
             raise ValueError("t_max must be finite and >= 0")
+        if not np.isfinite(max(self.t_max, CHECKPOINT_STRIDE) / self.dt):
+            raise ValueError(f"dt = {self.dt:g} is too small: the step count must be finite")
 
 
 @dataclass(frozen=True)
@@ -247,7 +248,7 @@ def integrate(
     """One run of `integrate_block` to t_max, with every checkpoint kept as
     its Trajectory."""
     checkpoints: list[Checkpoint] = []
-    integrate_block(graph, [init], [params], schedule, [seed],
+    integrate_block(graph, [init], params, schedule, [seed],
                     record=lambda row, cp: checkpoints.append(cp))
     return Trajectory(tuple(checkpoints), _checkpoint_steps(params.dt) * params.dt)
 
@@ -276,58 +277,57 @@ def _settle_step(counts: Optional[np.ndarray], prev_spins: Optional[np.ndarray],
 def integrate_block(
     graph: Graph,
     inits: Sequence[PhaseState],
-    params: Sequence[DynamicsParams],
+    params: DynamicsParams,
     schedule: ShilSchedule,
     seeds: Sequence[int],
+    detunings: Optional[Sequence[float]] = None,
     settle_exit: bool = False,
     record: Optional[Callable[[int, Checkpoint], None]] = None,
 ) -> list[tuple[Checkpoint, Optional[float]]]:
     """Fixed-step RK4 integration of a block of runs in lockstep.
 
-    Row r starts from ``inits[r]`` with ``params[r]`` and ``seeds[r]``; rows
-    may differ only in their detuning.  The rows form one (rows, n) phase
-    array, so each step and checkpoint is a fixed set of whole-array passes,
-    and each row's every step has the bits it has when the row runs alone.
-    Noise of std ``noise_amplitude * sqrt(dt)`` per step, when enabled, comes
-    from a stream derived from the row's seed.  Phases are wrapped to
-    [0, 2*pi) after every step (`potts.wrap_phases`).  Checkpoints (the
-    Lyapunov value, the rounded coloring and max |dtheta/dt|) are taken every
-    round(CHECKPOINT_STRIDE / dt) steps and at the last step; Checkpoint
-    objects are built for each row's last one, and for all of them when
-    ``record(r, checkpoint)`` is given.
+    Every row shares ``params`` and ``schedule``; row r starts from
+    ``inits[r]`` with seed ``seeds[r]`` and rate ``detunings[r]`` (None: every
+    row at ``params.detuning``).  The rows form one (rows, n) phase array, so
+    each step and checkpoint is a fixed set of whole-array passes, and each
+    row's every step has the bits it has when the row runs alone.  Noise of
+    std ``noise_amplitude * sqrt(dt)`` per step, when enabled, comes from a
+    stream derived from the row's seed.  Phases are wrapped to [0, 2*pi)
+    after every step (`potts.wrap_phases`).  Checkpoints (the Lyapunov value,
+    the rounded coloring and max |dtheta/dt|) are taken every
+    round(CHECKPOINT_STRIDE / dt) steps and at the last step.
 
     A row settles at the first checkpoint that meets the settle rule
-    (`_settle_step`).  It runs to t_max, or with ``settle_exit`` leaves the
-    block once settled if the rest of its run is a fixed gradient flow: no
-    noise, no detuning, no square wave.  Returns each row's last checkpoint
-    and settle time (None if unsettled).  Raises IntegrationDivergedError,
-    naming the row's seed, if a phase becomes non-finite, or if a fixed
-    gradient flow's Lyapunov value rises by more than 1e-6 per edge and step
-    between two checkpoints over which the envelope is constant: a step size
-    too large for the gains.
+    (`_settle_step`).  Every row ends at the last step, or with ``settle_exit``
+    once settled if the rest of its run is a fixed gradient flow: no noise, no
+    detuning, no square wave.  Checkpoint objects are built for the rows that
+    end, and for all rows when ``record(r, checkpoint)`` is given.  Returns
+    each row's last checkpoint and settle time (None if unsettled).  Raises
+    IntegrationDivergedError, naming the row's seed, if a phase becomes
+    non-finite, or if a fixed gradient flow's Lyapunov value rises by more
+    than 1e-6 per edge and step between two checkpoints over which the
+    envelope is constant: a step size too large for the gains.
     """
     n = graph.num_vertices
-    if not len(inits) == len(params) == len(seeds) >= 1:
-        raise ValueError("a block needs one init, params and seed per row")
+    rates = np.full(len(seeds), params.detuning) if detunings is None else np.array(detunings, float)
+    if not len(inits) == len(rates) == len(seeds) >= 1:
+        raise ValueError("a block needs one init, seed and detuning per row")
     if any(len(init) != n for init in inits):
         raise ValueError("initial state length does not match graph")
-    base = dataclasses.replace(params[0], detuning=0.0)
-    if any(dataclasses.replace(p, detuning=0.0) != base for p in params):
-        raise ValueError("the rows of a block may differ only in their detuning")
     u, v = graph.edge_arrays()
     num_edges = len(u)
     # edge endpoints of every row in the flattened (rows, n) phase array
     offsets = n * np.arange(len(seeds))[:, None]
     block_u, block_v = (u + offsets).ravel(), (v + offsets).ravel()
-    kc, ks_max, nph, dt = base.coupling_gain, base.shil_gain_max, base.n_phases, base.dt
-    steps = int(round(base.t_max / dt))
+    kc, ks_max, nph, dt = params.coupling_gain, params.shil_gain_max, params.n_phases, params.dt
+    steps = int(round(params.t_max / dt))
     ckpt_every = _checkpoint_steps(dt)
-    noise = base.noise_amplitude
+    noise = params.noise_amplitude
     rngs = [np.random.default_rng([seed, 1]) for seed in seeds] if noise > 0 else None
     noise_std = noise * np.sqrt(dt)
     # rows whose run is a fixed gradient flow, which descends the Lyapunov
     # function while the envelope is constant
-    flows = np.array([noise == 0 and p.detuning == 0 and schedule.mode != "square" for p in params])
+    flows = (rates == 0) & (noise == 0) & (schedule.mode != "square")
     exits = flows & settle_exit
     rise_tol = 1e-6 * num_edges * ckpt_every
     settled_at = np.full(len(seeds), np.nan)
@@ -335,10 +335,9 @@ def integrate_block(
 
     # block indices of the rows still running, in the order of the arrays below
     rows = np.arange(len(seeds))
-    # only fixed gradient flows leave a block early, so a block with a
-    # detuned row keeps one to the end
-    detuned = any(p.detuning != 0 for p in params)
-    detuning = np.array([[p.detuning] for p in params]) if detuned else None
+    # a column of one rate per running row, None if no row is detuned (only
+    # fixed gradient flows leave a block early, so a detuned row stays to the end)
+    detuning = rates[:, None] if rates.any() else None
     theta = np.stack([init.phases for init in inits])
     # the last checkpoint's time, and per running row its spins, settle count
     # and Lyapunov value (taken where a rise check reads it, a row ends, or
@@ -370,13 +369,14 @@ def integrate_block(
                                                schedule.ramp_end)
                 settled &= np.isnan(settled_at[rows])
                 settled_at[rows[settled]] = t
-                ends = settled & exits[rows]
+                # every running row ends at the last step
+                ends = settled & exits[rows] | (i == steps)
                 # a flow's Lyapunov value is checked against the last checkpoint's
                 # while the envelope is constant, so it is needed for this check
                 # or the next
                 flowing = flows[rows].any()
                 check = flowing and t_prev is not None and constant(t_prev, t)
-                if (check or record is not None or ends.any() or i == steps
+                if (check or record is not None or ends.any()
                         or flowing and constant(t, min(i + ckpt_every, steps) * dt)):
                     lyap_prev, lyap = lyap, lyapunov(graph, state, kc, ks_max * schedule.envelope(t), nph)
                     if check:
@@ -388,21 +388,19 @@ def integrate_block(
                                 f"{lyap_prev[k]:g} to {lyap[k]:g} between t={t_prev:g} and t={t:g} "
                                 "cycles (reduce dt or the gains)"
                             )
-                    for k in range(len(rows)) if record is not None or i == steps else np.flatnonzero(ends):
+                    for k in range(len(rows)) if record is not None else np.flatnonzero(ends):
                         cp = last[rows[k]] = Checkpoint(t, PhaseState(state.phases[k]), float(lyap[k]),
                                                         Coloring(spins[k], nph), float(max_rate[k]))
                         if record is not None:
                             record(rows[k], cp)
                 t_prev = t
+                if ends.all():
+                    break
                 if ends.any():
                     keep = ~ends
                     rows, theta, k1, spins, counts, lyap = (
-                        rows[keep], theta[keep], k1[keep], spins[keep], counts[keep], lyap[keep])
-                    detuning = detuning[keep] if detuned else None
-                    if not len(rows):
-                        break
-            if i == steps:
-                break
+                        a[keep] for a in (rows, theta, k1, spins, counts, lyap))
+                    detuning = None if detuning is None else detuning[keep]
             # the RK4 stages, in place and in the operation order of
             # theta + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4), so with its bits
             x = k1 * (0.5 * dt)

@@ -144,20 +144,17 @@ def _record(graph: Graph, seed: int, coloring: Coloring, state: PhaseState,
     )
 
 
-def _run_task(block: Sequence[tuple]) -> list[RunRecord]:
-    """Restarts (graph, params, schedule, seed, mode) that share graph,
-    schedule and mode, stepped in lockstep until each has settled (or to
-    t_max); records in block order.  A row's record does not depend on its
-    block, so ``_run_task([task])`` is the restart run alone.  Mode none
-    scores each quantized initial state instead."""
-    graph, _, schedule, _, mode = block[0]
-    seeds = [task[3] for task in block]
+def _run_task(block: tuple) -> list[RunRecord]:
+    """A block ((graph, params, schedule, mode), seeds) of restarts, stepped in
+    lockstep until each has settled (or to t_max); records in seed order.  A
+    row's record does not depend on its block, so a block of one seed is the
+    restart run alone.  Mode none scores each quantized initial state instead."""
+    (graph, params, schedule, mode), seeds = block
     inits = [random_init(graph.num_vertices, seed) for seed in seeds]
     if mode is AblationMode.NONE:
-        colorings = [quantize(init, task[1].n_phases) for init, task in zip(inits, block)]
+        colorings = [quantize(init, params.n_phases) for init in inits]
         return [_record(graph, seed, c, lattice_state(c), None) for seed, c in zip(seeds, colorings)]
-    ends = integrate_block(graph, inits, [task[1] for task in block], schedule, seeds,
-                           settle_exit=True)
+    ends = integrate_block(graph, inits, params, schedule, seeds, settle_exit=True)
     return [_record(graph, seed, final.coloring, final.state, cycles)
             for seed, (final, cycles) in zip(seeds, ends)]
 
@@ -189,24 +186,24 @@ def _aggregate(
     )
 
 
-def _run_batch(task, args: Sequence[tuple], jobs: int) -> list:
-    """Run `task` over contiguous blocks of `args`, serially or on one pool
-    of `jobs` workers, and return its results in the order of `args`
-    whatever the worker count, so a report never depends on `--jobs`.
+def _run_batch(task, shared: tuple, rows: Sequence, jobs: int) -> list:
+    """Run `task` over blocks (shared, rows[a:b]) of contiguous rows, serially
+    or on one pool of `jobs` workers, and return its results in the order of
+    `rows` whatever the worker count, so a report never depends on `--jobs`.
 
-    A block holds at most LOCKSTEP_ROWS tasks.  Block sizes differ by at
-    most one, and their number is a multiple of `jobs` when there are enough
-    tasks, so the workers get equal row counts.  Blocks are dealt out one at
-    a time, to no more workers than there are blocks (a forked pool starts
-    all of its workers at once).
+    A block holds at most LOCKSTEP_ROWS rows.  Block sizes differ by at most
+    one, and their number is a multiple of `jobs` when there are enough rows,
+    so the workers get equal row counts.  Blocks are dealt out one at a time,
+    to no more workers than there are blocks (a forked pool starts all of its
+    workers at once).
     """
-    if len(args) < 1:
+    if len(rows) < 1:
         raise ValueError("iterations must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    count = min(len(args), jobs * -(-len(args) // (jobs * LOCKSTEP_ROWS)))
-    bounds = [len(args) * k // count for k in range(count + 1)]
-    blocks = [args[a:b] for a, b in zip(bounds, bounds[1:])]
+    count = min(len(rows), jobs * -(-len(rows) // (jobs * LOCKSTEP_ROWS)))
+    bounds = [len(rows) * k // count for k in range(count + 1)]
+    blocks = [(shared, rows[a:b]) for a, b in zip(bounds, bounds[1:])]
     workers = min(jobs, len(blocks))
     if workers == 1:
         results = [task(b) for b in blocks]
@@ -235,9 +232,8 @@ def solve_multi(
     mode, full included, is recorded in the report's params.
     """
     mode = None if mode is None else AblationMode(mode)
-    run_params = _params_for_mode(params, mode)
-    tasks = [(graph, run_params, schedule, base_seed + i, mode) for i in range(iterations)]
-    records = _run_batch(_run_task, tasks, jobs)
+    records = _run_batch(_run_task, (graph, _params_for_mode(params, mode), schedule, mode),
+                         range(base_seed, base_seed + iterations), jobs)
     cfg = effective_config(params, schedule, iterations, base_seed, mode=mode)
     return _aggregate(benchmark, cfg, records)
 
@@ -247,18 +243,17 @@ def detune_protocol_params() -> DynamicsParams:
     return DynamicsParams(shil_gain_max=DETUNE_SHIL_GAIN, dt=DETUNE_DT, t_max=DETUNE_T_MAX)
 
 
-def _detune_task(block: Sequence[tuple]) -> list[float]:
-    """Mean lattice deviation (radians) at t_max of restarts (graph, params,
-    schedule, seed) that share graph and schedule, stepped in lockstep."""
-    graph, _, schedule, _ = block[0]
-    params = [task[1] for task in block]
-    seeds = [task[3] for task in block]
+def _detune_task(block: tuple) -> list[float]:
+    """Mean lattice deviation (radians) at t_max of each row of a block
+    ((graph, params, schedule), (seed, delta) rows), stepped in lockstep."""
+    (graph, params, schedule), rows = block
+    seeds, deltas = zip(*rows)
     # no settle exit: every row of a sweep is read at the same horizon
     inits = [random_init(graph.num_vertices, seed) for seed in seeds]
-    ends = integrate_block(graph, inits, params, schedule, seeds)
+    ends = integrate_block(graph, inits, params, schedule, seeds, deltas)
     return [
-        float(np.mean(lattice_deviation(final.state, p.n_phases, offset=p.detuning * final.time)))
-        for p, (final, _) in zip(params, ends)
+        float(np.mean(lattice_deviation(final.state, params.n_phases, offset=delta * final.time)))
+        for delta, (final, _) in zip(deltas, ends)
     ]
 
 
@@ -280,12 +275,10 @@ def detune_sweep(
     """
     if len(deltas) == 0:
         raise ValueError("need at least one detuning value")
-    tasks = [
-        (graph, dataclasses.replace(params, detuning=float(delta)), schedule, base_seed + i)
-        for delta in deltas
-        for i in range(iterations)
-    ]
-    devs = _run_batch(_detune_task, tasks, jobs)
+    if not np.isfinite(deltas).all():
+        raise ValueError("detuning must be finite")
+    rows = [(base_seed + i, float(delta)) for delta in deltas for i in range(iterations)]
+    devs = _run_batch(_detune_task, (graph, params, schedule), rows, jobs)
     return [
         (float(delta), float(np.degrees(np.mean(devs[k * iterations:(k + 1) * iterations]))))
         for k, delta in enumerate(deltas)

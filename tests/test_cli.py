@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pottsim import DynamicsParams, ShilSchedule, gen_planted, parse_dimacs, write_dimacs
+from pottsim import DynamicsParams, ShilSchedule, gen_planted, parse_dimacs, solver, write_dimacs
 from pottsim.potts import Coloring, accuracy
 from pottsim.cli import main
 from pottsim.solver import detune_protocol_params, effective_config
@@ -241,6 +241,21 @@ class TestDetuneCommand:
                                for delta, dev in (line.split(",") for line in lines[2:-1])]
         assert len(doc["rows"]) == 2
 
+    @pytest.mark.parametrize("deltas", ["0,inf", "0,nan"])
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_non_finite_rate_rejected_before_any_block(self, tiny_col, tmp_path, capsys,
+                                                       monkeypatch, deltas, jobs):
+        # the sweep checks its rates itself: no block, not even the first, runs
+        calls = []
+        monkeypatch.setattr(solver, "_detune_task", lambda block: calls.append(block) or [])
+        out = tmp_path / "d.csv"
+        rc = main(["detune", str(tiny_col), "--deltas", deltas, "--iters", "2", "--t-max", "2",
+                   "--jobs", jobs, "--out", str(out)])
+        assert rc == 1
+        assert "detuning must be finite" in capsys.readouterr().err
+        assert not out.exists()
+        assert calls == []
+
     def test_detune_flag_must_be_zero(self, tiny_col, tmp_path, capsys):
         # the sweep sets each run's rate from --deltas, so a nonzero --detune
         # would be ignored yet recorded in the header
@@ -411,7 +426,8 @@ class TestErrors:
 
     @pytest.mark.parametrize("flags", [
         ["--t-on", "nan"], ["--t-on", "inf"], ["--ramp", "inf"], ["--dt", "inf", "--ks", "0"],
-    ], ids=["t-on-nan", "t-on-inf", "ramp-inf", "dt-inf"])
+        ["--dt", "1e-320"],
+    ], ids=["t-on-nan", "t-on-inf", "ramp-inf", "dt-inf", "dt-step-count-inf"])
     def test_non_finite_schedule_or_step_rejected(self, tiny_col, tmp_path, capsys, flags):
         out = tmp_path / "r.json"
         rc = main(["solve", str(tiny_col), *flags, "--iters", "1", "--out", str(out)])

@@ -55,7 +55,7 @@ def gradient_fd(graph, state, kc, ks, n_phases, h=1e-5):
 def solved_to_t_max(graph, params, sched, seeds) -> int:
     """Runs, stepped as one block to t_max, whose final coloring is proper."""
     ends = integrate_block(graph, [random_init(graph.num_vertices, s) for s in seeds],
-                           [params] * len(seeds), sched, list(seeds))
+                           params, sched, list(seeds))
     return sum(accuracy(graph, final.coloring) == 1.0 for final, _ in ends)
 
 
@@ -71,6 +71,8 @@ class TestParamsValidation:
             {"detuning": np.nan},
             {"dt": np.inf},
             {"dt": np.nan},
+            # t_max / dt overflows to inf, so the step count is not a number
+            {"dt": 1e-320},
             # dt * n_phases * shil_gain_max = 3.6, past RK4's real-axis limit
             {"shil_gain_max": 60.0},
         ):
@@ -406,10 +408,10 @@ class TestIntegrate:
         for seed in range(3):
             init = random_init(20, seed)
             early, full = [], []
-            [(final, settle)] = integrate_block(graph, [init], [params], sched, [seed],
+            [(final, settle)] = integrate_block(graph, [init], params, sched, [seed],
                                                 settle_exit=True,
                                                 record=lambda row, cp: early.append(cp))
-            [(_, full_settle)] = integrate_block(graph, [init], [params], sched, [seed],
+            [(_, full_settle)] = integrate_block(graph, [init], params, sched, [seed],
                                                  record=lambda row, cp: full.append(cp))
             assert settle == final.time == early[-1].time == full_settle
             assert sched.ramp_end <= settle < params.t_max
@@ -429,7 +431,7 @@ class TestIntegrate:
     def test_settle_exit_needs_a_fixed_gradient_flow(self, params, sched):
         graph = random_colorable_graph(20, 40, seed=5)
         checkpoints = []
-        [(final, settle)] = integrate_block(graph, [random_init(20, 1)], [params], sched, [1],
+        [(final, settle)] = integrate_block(graph, [random_init(20, 1)], params, sched, [1],
                                             settle_exit=True,
                                             record=lambda row, cp: checkpoints.append(cp))
         assert final.time == checkpoints[-1].time == pytest.approx(params.t_max)
@@ -447,7 +449,7 @@ class TestIntegrate:
         graph = random_colorable_graph(30, 66, seed=4)
         seeds = [3, 4, 5, 6, 7]
         recorded = []
-        integrate_block(graph, [random_init(30, s) for s in seeds], [params] * len(seeds), sched,
+        integrate_block(graph, [random_init(30, s) for s in seeds], params, sched,
                         seeds, record=lambda row, cp: recorded.append((row, cp)))
         traj = integrate(graph, random_init(30, 3), params, sched, seed=3)
         # row 0 of the block is the run alone, checkpoint for checkpoint

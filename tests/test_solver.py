@@ -36,7 +36,7 @@ SCHED = ShilSchedule()
 
 def run_alone(graph, params, schedule, seed):
     """One restart run alone: a block of one row."""
-    return _run_task([(graph, params, schedule, seed, None)])[0]
+    return _run_task(((graph, params, schedule, None), [seed]))[0]
 
 
 class TestSolveOnce:
@@ -51,7 +51,7 @@ class TestSolveOnce:
     def test_k3_defaults_solve(self, k3):
         # the 100 restarts run as one lockstep block
         params = DynamicsParams(t_max=40.0)
-        records = _run_task([(k3, params, SCHED, s, None) for s in range(100)])
+        records = _run_task(((k3, params, SCHED, None), range(100)))
         assert sum(r.accuracy == 1.0 for r in records) >= 95
 
     def test_settle_exit_scores_like_the_full_horizon(self):
@@ -61,7 +61,7 @@ class TestSolveOnce:
             record = run_alone(graph, params, SCHED, seed=seed)
             # the same run to t_max, without the settle exit
             [(final, settled_at)] = integrate_block(
-                graph, [random_init(30, seed)], [params], SCHED, [seed])
+                graph, [random_init(30, seed)], params, SCHED, [seed])
             assert final.time == pytest.approx(params.t_max)
             assert record.cycles < params.t_max  # the run did stop early
             assert record.accuracy == accuracy(graph, final.coloring)
@@ -86,14 +86,16 @@ def split(tasks: list, cuts: list[int]) -> list[list]:
 
 
 def tag_with_block_size(block):
-    """A batch task that pairs each of its arguments with its block's size."""
-    return [(len(block), arg) for arg in block]
+    """A batch task that pairs each of its rows with its block's size."""
+    shared, rows = block
+    assert shared == "shared"
+    return [(len(rows), row) for row in rows]
 
 
 class TestLockstepBlocks:
     @pytest.mark.parametrize("num_tasks, jobs", [(1, 1), (10, 2), (41, 2), (100, 2), (7, 3)])
     def test_batch_deal(self, num_tasks, jobs):
-        results = _run_batch(tag_with_block_size, list(range(num_tasks)), jobs)
+        results = _run_batch(tag_with_block_size, "shared", list(range(num_tasks)), jobs)
         assert [arg for _, arg in results] == list(range(num_tasks))
         sizes, i = [], 0
         while i < num_tasks:
@@ -126,7 +128,7 @@ class TestLockstepBlocks:
                 return map(fn, iterable)
 
         monkeypatch.setattr(solver, "ProcessPoolExecutor", InProcessPool)
-        results = _run_batch(tag_with_block_size, list(range(num_tasks)), jobs)
+        results = _run_batch(tag_with_block_size, "shared", list(range(num_tasks)), jobs)
         assert [arg for _, arg in results] == list(range(num_tasks))
         assert opened == pools
 
@@ -139,25 +141,37 @@ class TestLockstepBlocks:
         detunings=st.lists(st.sampled_from([0.0, 1e-5, -2.0]), min_size=6, max_size=6),
     )
     def test_records_do_not_depend_on_the_block(self, graph, seeds, cuts, noise, detunings):
-        # each row alone is the reference
-        tasks = [
-            (graph, DynamicsParams(noise_amplitude=noise, detuning=d, t_max=14.0), SCHED, s, None)
-            for s, d in zip(seeds, detunings)
-        ]
-        blocks = split(tasks, cuts)
-        records = [r for block in blocks for r in _run_task(block)]
-        assert records == [run_alone(graph, t[1], SCHED, t[3]) for t in tasks]
-        devs = [d for block in blocks for d in _detune_task([t[:4] for t in block])]
-        assert devs == [_detune_task([t[:4]])[0] for t in tasks]
+        # each row alone is the reference; a solve block shares its params,
+        # a sweep's rows differ in their rate
+        params = DynamicsParams(noise_amplitude=noise, detuning=detunings[0], t_max=14.0)
+        records = [r for block in split(seeds, cuts)
+                   for r in _run_task(((graph, params, SCHED, None), block))]
+        assert records == [run_alone(graph, params, SCHED, s) for s in seeds]
+        shared = (graph, dataclasses.replace(params, detuning=0.0), SCHED)
+        rows = list(zip(seeds, detunings))
+        devs = [d for block in split(rows, cuts) for d in _detune_task((shared, block))]
+        assert devs == [_detune_task((shared, [row]))[0] for row in rows]
+
+        # mixed rates with the settle exit: only the flows among them leave early
+        def run(block):
+            row_seeds, rates = zip(*block)
+            return integrate_block(graph, [random_init(graph.num_vertices, s) for s in row_seeds],
+                                   shared[1], SCHED, row_seeds, rates, settle_exit=True)
+
+        ends = [end for block in split(rows, cuts) for end in run(block)]
+        for row, (final, settled_at) in zip(rows, ends, strict=True):
+            [(alone, alone_settled_at)] = run([row])
+            assert (final.time, final.lyapunov, settled_at) == (
+                alone.time, alone.lyapunov, alone_settled_at)
+            assert final.state.phases.tobytes() == alone.state.phases.tobytes()
 
     def test_diverged_row_fails_by_its_seed(self, k3):
         # detuning * t overflows to inf near t = 1.06 in the middle row only
-        sched = ShilSchedule(t_on=0.0, ramp=0.0)
-        ok, bad = DynamicsParams(t_max=2.0), DynamicsParams(detuning=1.7e308, t_max=2.0)
-        block = [(k3, p, sched, seed, None) for p, seed in ((ok, 11), (bad, 12), (ok, 13))]
+        shared = (k3, DynamicsParams(t_max=2.0), ShilSchedule(t_on=0.0, ramp=0.0))
+        rows = [(11, 0.0), (12, 1.7e308), (13, 0.0)]
         with pytest.raises(IntegrationDivergedError, match="seed 12"):
-            _run_task(block)
-        assert len(_run_task([block[0], block[2]])) == 2
+            _detune_task((shared, rows))
+        assert len(_detune_task((shared, [rows[0], rows[2]]))) == 2
 
 
 class TestSolveMulti:
