@@ -78,7 +78,10 @@ def _write_atomic(files: dict[Path, str]):
                 continue
             tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
             tmps[tmp] = path
-            tmp.write_text(text)
+            try:
+                tmp.write_text(text)
+            except OSError as exc:
+                raise OSError(f"{path}: {exc.strerror or exc}") from exc
         for tmp, path in tmps.items():
             os.replace(tmp, path)
     finally:
@@ -98,7 +101,7 @@ def _cmd_solve(args) -> int:
     params, schedule = _build_settings(args)
     report = solve_multi(
         graph, params, schedule, args.iters, args.seed,
-        benchmark=args.file.stem, jobs=args.jobs, mode=getattr(args, "ablation", None),
+        benchmark=args.file.stem, jobs=args.jobs, mode=getattr(args, "mode", None),
     )
     _emit(report_json(report) if args.format == "json" else report_csv(report), args.out)
     return 0
@@ -188,9 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="solve with one subsystem disabled")
     p.add_argument("file", type=Path)
-    # dest "mode" would collide with the ShilSchedule field of that name
-    p.add_argument("--mode", required=True, dest="ablation",
-                   choices=[m.value for m in AblationMode])
+    p.add_argument("--mode", required=True, choices=[m.value for m in AblationMode])
     _add_run_flags(p)
     _add_dynamics_flags(p)
     p.set_defaults(func=_cmd_solve)

@@ -7,12 +7,11 @@ by gradient descent of the Lyapunov function in `potts.lyapunov`:
                   - K_s(t) * sin(N * theta_i - delta * t)
 
 where j runs over the neighbours of i: every edge is one unit repulsive
-coupling.  The SHIL gain K_s(t) follows a schedule (off until t_on, linear
-ramp, then a constant or square-wave envelope), so the graph couplings act
-first and the N-phase discretization engages afterwards.  A nonzero
-detuning rate `delta` rotates the SHIL lattice, modelling a stimulus
-frequency slightly off the exact N-th harmonic.  Time is measured in natural
-oscillator cycles.
+coupling.  The SHIL gain K_s(t) follows a schedule (off until t_on, then a
+linear ramp to its peak, held to the end), so the graph couplings act first
+and the N-phase discretization engages afterwards.  A nonzero detuning rate
+`delta` rotates the SHIL lattice, modelling a stimulus frequency slightly off
+the exact N-th harmonic.  Time is measured in natural oscillator cycles.
 """
 from __future__ import annotations
 
@@ -85,33 +84,20 @@ class DynamicsParams:
 
 @dataclass(frozen=True)
 class ShilSchedule:
-    """Envelope of the SHIL stimulus: 0 until t_on, linear ramp, then `mode`.
-
-    mode "constant" holds the envelope at 1 after the ramp, "square" gates it
-    with a square wave of the given period and duty cycle (an annealing
-    schedule).  A run without SHIL sets t_on beyond t_max or the gain to 0.
+    """Envelope of the SHIL stimulus: 0 until t_on, a linear ramp over `ramp`
+    cycles, then 1.  A run without SHIL sets t_on beyond t_max or the gain to 0.
     """
 
     t_on: float = 5.0
     ramp: float = 5.0
-    mode: str = "constant"
-    period: float = 0.0
-    duty: float = 0.5
 
     def __post_init__(self):
         if not (0 <= self.t_on < np.inf and 0 <= self.ramp < np.inf):
             raise ValueError("t_on and ramp must be finite and >= 0")
-        if self.mode not in ("constant", "square"):
-            raise ValueError(f"unknown schedule mode {self.mode!r}")
-        if self.mode == "square":
-            if not 0 < self.period < np.inf:
-                raise ValueError("square mode needs a finite period > 0")
-            if not 0.0 <= self.duty <= 1.0:
-                raise ValueError("duty must lie in [0, 1]")
 
     @property
     def ramp_end(self) -> float:
-        """Time at which the ramp ends and the envelope takes its final form."""
+        """Time at which the ramp ends and the envelope reaches 1."""
         return self.t_on + self.ramp
 
     def envelope(self, t: float) -> float:
@@ -119,8 +105,6 @@ class ShilSchedule:
             return 0.0
         if self.ramp > 0 and t < self.ramp_end:
             return (t - self.t_on) / self.ramp
-        if self.mode == "square":
-            return 1.0 if (t - self.t_on - self.ramp) % self.period < self.duty * self.period else 0.0
         return 1.0
 
 
@@ -299,10 +283,10 @@ def integrate_block(
 
     A row settles at the first checkpoint that meets the settle rule
     (`_settle_step`).  Every row ends at the last step, or with ``settle_exit``
-    once settled if the rest of its run is a fixed gradient flow: no noise, no
-    detuning, no square wave.  Checkpoint objects are built for the rows that
-    end, and for all rows when ``record(r, checkpoint)`` is given.  Returns
-    each row's last checkpoint and settle time (None if unsettled).  Raises
+    once settled if the rest of its run is a fixed gradient flow: no noise and
+    no detuning.  Checkpoint objects are built for the rows that end, and for
+    all rows when ``record(r, checkpoint)`` is given.  Returns each row's last
+    checkpoint and settle time (None if unsettled).  Raises
     IntegrationDivergedError, naming the row's seed, if a phase becomes
     non-finite, or if a fixed gradient flow's Lyapunov value rises by more
     than 1e-6 per edge and step between two checkpoints over which the
@@ -327,7 +311,7 @@ def integrate_block(
     noise_std = noise * np.sqrt(dt)
     # rows whose run is a fixed gradient flow, which descends the Lyapunov
     # function while the envelope is constant
-    flows = (rates == 0) & (noise == 0) & (schedule.mode != "square")
+    flows = (rates == 0) & (noise == 0)
     exits = flows & settle_exit
     rise_tol = 1e-6 * num_edges * ckpt_every
     settled_at = np.full(len(seeds), np.nan)

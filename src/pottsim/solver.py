@@ -266,7 +266,7 @@ def detune_sweep(
     base_seed: int = 0,
     jobs: int = 1,
 ) -> list[tuple[float, float]]:
-    """Mean lattice deviation (degrees) of the settled phases per detuning rate.
+    """Mean lattice deviation (degrees) of the phases at t_max per detuning rate.
 
     For each detuning value the machine runs `iterations` times; the reported
     figure is the mean over runs and vertices of the circular distance from

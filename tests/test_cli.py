@@ -98,8 +98,8 @@ class TestSolveCommand:
         assert out1.read_bytes() == out2.read_bytes()
 
 
-# Every dynamics flag with a value distinct from each other and from the
-# defaults of the fields no flag sets (schedule mode, period and duty).
+# Every dynamics flag with a value distinct from each other; together they
+# set every field of a report's dynamics and schedule blocks.
 FLAG_FIELDS = [
     ("--kc", "0.7", "dynamics", "coupling_gain"),
     ("--ks", "1.3", "dynamics", "shil_gain_max"),
@@ -136,16 +136,21 @@ class TestFlagsSetTheirFields:
         params = self.params_of(command, target, extra, tmp_path)
         fields = [(block, name, val) for block in ("dynamics", "schedule")
                   for name, val in params[block].items()]
+        flagged = set()
         for flag, value, block, field in FLAG_FIELDS:
             if command == "detune" and flag == "--detune":
                 continue
             holders = [(b, name) for b, name, val in fields if val == float(value)]
             assert holders == [(block, field)], flag
+            flagged.add((block, field))
+        # and every embedded field is one of them (detune's --detune must stay 0)
+        skipped = {("dynamics", "detuning")} if command == "detune" else set()
+        assert flagged == {(b, name) for b, name, _ in fields} - skipped
 
     def test_ablation_mode_is_not_the_schedule_mode(self, tiny_col, tmp_path):
         params = self.params_of("ablate", tiny_col, ["--mode", "sync_only"], tmp_path)
         assert params["mode"] == "sync_only"
-        assert params["schedule"]["mode"] == "constant"
+        assert "mode" not in params["schedule"]
 
 
 class TestBenchCommand:
@@ -485,6 +490,16 @@ class TestErrors:
             assert "error:" in capsys.readouterr().err
             assert out.read_text() == "old report\n"
             assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json", "tiny.col"]
+
+    @pytest.mark.parametrize("command", ["solve", "gen"])
+    def test_failed_write_names_the_out_path(self, tiny_col, tmp_path, capsys, command):
+        out = tmp_path / "missing" / ("r.json" if command == "solve" else "g.col")
+        argv = (["solve", str(tiny_col), *FAST_FLAGS] if command == "solve"
+                else ["gen", "--n", "12", "--m", "20"])
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert str(out) in err and ".tmp" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["tiny.col"]
 
     def test_out_may_name_a_pipe(self, tiny_col, tmp_path):
         fifo = tmp_path / "pipe"

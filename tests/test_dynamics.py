@@ -82,17 +82,9 @@ class TestParamsValidation:
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
             ShilSchedule(t_on=-1.0)
-        for mode in ("sawtooth", "off"):
-            with pytest.raises(ValueError, match="unknown schedule mode"):
-                ShilSchedule(mode=mode)
-        with pytest.raises(ValueError):
-            ShilSchedule(mode="square", period=0.0)
-        with pytest.raises(ValueError):
-            ShilSchedule(mode="square", period=2.0, duty=1.5)
-        for kwargs in (
-            {"t_on": np.nan}, {"t_on": np.inf}, {"ramp": np.nan}, {"ramp": np.inf},
-            {"mode": "square", "period": np.inf}, {"mode": "square", "period": np.nan},
-        ):
+        with pytest.raises(TypeError):
+            ShilSchedule(mode="square")
+        for kwargs in ({"t_on": np.nan}, {"t_on": np.inf}, {"ramp": np.nan}, {"ramp": np.inf}):
             with pytest.raises(ValueError, match="finite"):
                 ShilSchedule(**kwargs)
 
@@ -105,12 +97,6 @@ class TestEnvelope:
         assert sched.envelope(4.0) == pytest.approx(0.5)
         assert sched.envelope(6.0) == 1.0
         assert sched.envelope(100.0) == 1.0
-
-    def test_square_wave(self):
-        sched = ShilSchedule(t_on=0.0, ramp=0.0, mode="square", period=2.0, duty=0.5)
-        assert sched.envelope(0.5) == 1.0
-        assert sched.envelope(1.5) == 0.0
-        assert sched.envelope(2.5) == 1.0
 
 
 class TestRhs:
@@ -306,11 +292,10 @@ class TestIntegrate:
     @pytest.mark.parametrize("params, sched", [
         (DynamicsParams(noise_amplitude=0.3, t_max=30.0), ShilSchedule()),
         (DynamicsParams(detuning=0.5, t_max=30.0), ShilSchedule()),
-        (DynamicsParams(t_max=30.0), ShilSchedule(mode="square", period=2.0, duty=0.5)),
-    ], ids=["noise", "detuning", "square"])
+    ], ids=["noise", "detuning"])
     def test_rise_check_needs_a_fixed_gradient_flow(self, params, sched):
-        # noise kicks, the rotating lattice and the square gate each raise
-        # the Lyapunov value of a stable run, so these runs are not checked
+        # noise kicks and the rotating lattice each raise the Lyapunov value
+        # of a stable run, so these runs are not checked
         graph = random_colorable_graph(20, 40, seed=5)
         traj = integrate(graph, random_init(20, 1), params, sched, seed=1)
         assert traj.final.time == pytest.approx(params.t_max)
@@ -381,12 +366,6 @@ class TestIntegrate:
         with pytest.raises(IntegrationDivergedError, match="t="):
             integrate(k3, random_init(3, seed=0), params, ShilSchedule(), seed=0)
 
-    def test_square_schedule_runs(self, k3):
-        params = DynamicsParams(t_max=10.0)
-        sched = ShilSchedule(t_on=1.0, ramp=1.0, mode="square", period=2.0, duty=0.5)
-        traj = integrate(k3, random_init(3, seed=2), params, sched, seed=2)
-        assert traj.final.time == pytest.approx(10.0)
-
     def test_length_mismatch(self, k3):
         with pytest.raises(ValueError, match="length"):
             integrate(k3, random_init(4, seed=0), DynamicsParams(t_max=1.0), ShilSchedule())
@@ -424,10 +403,7 @@ class TestIntegrate:
     @pytest.mark.parametrize("params, sched", [
         (DynamicsParams(noise_amplitude=1e-4, t_max=30.0), ShilSchedule()),
         (DynamicsParams(detuning=1e-5, t_max=30.0), ShilSchedule()),
-        # a square wave with duty 1 is never off, so only its mode differs
-        # from the constant envelope
-        (DynamicsParams(t_max=30.0), ShilSchedule(mode="square", period=1.0, duty=1.0)),
-    ], ids=["noise", "detuning", "square"])
+    ], ids=["noise", "detuning"])
     def test_settle_exit_needs_a_fixed_gradient_flow(self, params, sched):
         graph = random_colorable_graph(20, 40, seed=5)
         checkpoints = []
@@ -440,9 +416,8 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("params, sched", [
         (DynamicsParams(t_max=12.0), ShilSchedule()),
-        (DynamicsParams(noise_amplitude=0.05, t_max=6.0),
-         ShilSchedule(t_on=1.0, ramp=1.0, mode="square", period=1.5)),
-    ], ids=["flow", "noisy-square"])
+        (DynamicsParams(noise_amplitude=0.05, t_max=6.0), ShilSchedule(t_on=1.0, ramp=1.0)),
+    ], ids=["flow", "noisy"])
     def test_block_checkpoints_match_the_row_reference(self, params, sched):
         # the block-wide Lyapunov sums and quantization give each row the
         # bits of potts.lyapunov and potts.quantize on that row alone
