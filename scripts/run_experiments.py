@@ -9,8 +9,9 @@ Produces:
   results/landscape_k3.csv       a small exhaustive landscape for plotting
 
 Each JSON report carries its accuracy histogram.  At the default 100
-iterations the whole run took 38 s on two cores (a 2-vCPU x86-64 host,
-Python 3.11, numpy 2.4); use --iters 20 for a quicker pass.
+iterations and --jobs 2 the whole run took 44-48 s (two runs on a shared
+2-vCPU Intel Xeon host, Python 3.11.7, numpy 2.4.6); use --iters 20 for a
+quicker pass.
 """
 from __future__ import annotations
 

@@ -138,45 +138,75 @@ class Trajectory:
         return self.checkpoints[-1]
 
 
+class _BlockEdges:
+    """The edges of a block of runs, indexed for its (n, rows) phase array,
+    with buffers for the gathered (sin, cos) planes of their endpoints.
+
+    The buffers are allocated once, for the block's first row count (rows then
+    only leave), so no call maps and faults in fresh edge-sized memory; `resize`
+    takes leading C-contiguous views of them.  `take` fills them with
+    mode="clip", which never clips here: the endpoints are checked once, below.
+    (Under mode="raise", take buffers `out=` through a temporary.)
+    """
+
+    def __init__(self, graph: Graph, rows: int):
+        self.u, self.v = graph.edge_arrays()
+        if self.u.size and (min(self.u.min(), self.v.min()) < 0
+                            or max(self.u.max(), self.v.max()) >= graph.num_vertices):
+            raise ValueError("edge endpoint out of range")
+        self._memory = np.empty((2, 2 * self.u.size * rows))
+        self.resize(rows)
+
+    def resize(self, rows: int):
+        m = self.u.size
+        self.planes_u, self.planes_v = (b[:2 * m * rows].reshape(2, m, rows) for b in self._memory)
+        # element (e, r) of an edge plane goes to bin u_e * rows + r of the
+        # flattened phases, so every bin sums its terms in edge order
+        r = np.arange(rows)
+        self.bins_u, self.bins_v = ((e[:, None] * rows + r).ravel() for e in (self.u, self.v))
+
+
 def _rhs_core(
     theta: np.ndarray,
     t: float,
-    u: np.ndarray,
-    v: np.ndarray,
+    edges: _BlockEdges,
     coupling_gain: float,
     shil_gain_now: float,
     n_phases: int,
     detuning: float | np.ndarray | None,
 ) -> np.ndarray:
-    """Phase velocities of one run (a vector) or of a block of runs (one per row).
+    """Phase velocities of a block of runs: row r of the block is column r of
+    the (n, rows) arrays `theta` and the result, and `edges` is sized for the
+    block.
 
-    `u` and `v` index the flattened phases, so in a block each row's edges are
-    offset by its row times the vertex count.  Every bincount bin then sums
-    its terms in edge order, and a row's velocities have the same bits as the
-    run's on its own.  `detuning` is None when no row is detuned, else a
-    (rows, 1) column of one rate per row (a lone run's rate may be a number).
+    Each row's velocities have the bits of the run on its own (a block of one
+    row).  `detuning` is None when no row is detuned, else one rate per row
+    (a lone run's rate may be a number).
 
     One transcendental pass serves the whole call: with h = tan(theta / 2),
     w = 2 / (1 + h^2) gives sin(theta) = h * w and cos(theta) = w - 1, and
     sin(N * theta) = sin(theta) * U_{N-1}(cos(theta)) by the Chebyshev
-    recurrence U_k = 2 cos(theta) U_{k-1} - U_{k-2}.  Each edge (u, v) then
-    costs one sin(theta_u - theta_v) = s_u c_v - c_u s_v, added to u's bin
-    and subtracted from v's.  A detuned row rotates the SHIL term by
-    delta * t with one sine and cosine per row.
+    recurrence U_k = 2 cos(theta) U_{k-1} - U_{k-2}.  One gather per edge end
+    copies both planes of every row; each edge (u, v) then costs one
+    sin(theta_u - theta_v) = s_u c_v - c_u s_v, added to u's bin and
+    subtracted from v's.  A detuned row rotates the SHIL term by delta * t
+    with one sine and cosine per row.
     """
+    sc = np.empty((2, *theta.shape))
     h = np.tan(0.5 * theta)
     w = 2.0 / (1.0 + h * h)
-    s = h * w
-    c = w - 1.0
-    sf, cf = s.ravel(), c.ravel()
-    # in place: at most three edge-length arrays are alive at once
-    d = sf[u]
-    d *= cf[v]
-    d_minus = cf[u]
-    d_minus *= sf[v]
-    d -= d_minus
-    coupling = np.bincount(u, d, minlength=theta.size)
-    coupling -= np.bincount(v, d, minlength=theta.size)
+    s = np.multiply(h, w, out=sc[0])
+    c = np.subtract(w, 1.0, out=sc[1])
+    pu, pv = edges.planes_u, edges.planes_v
+    sc.take(edges.u, axis=1, out=pu, mode="clip")
+    sc.take(edges.v, axis=1, out=pv, mode="clip")
+    # (s_u c_v, c_u s_v), then their difference d in the first plane
+    pu *= pv[::-1]
+    d = pu[0]
+    d -= pu[1]
+    d = d.ravel()
+    coupling = np.bincount(edges.bins_u, d, minlength=theta.size)
+    coupling -= np.bincount(edges.bins_v, d, minlength=theta.size)
     out = coupling_gain * coupling.reshape(theta.shape)
     if shil_gain_now != 0.0:
         two_c = c + c
@@ -208,8 +238,8 @@ def rhs(
     """
     if shil_gain_now < 0:
         raise ValueError("shil_gain_now must be >= 0")
-    u, v = graph.edge_arrays()
-    return _rhs_core(state.phases, 0.0, u, v, coupling_gain, shil_gain_now, n_phases, None)
+    return _rhs_core(state.phases[:, None], 0.0, _BlockEdges(graph, 1), coupling_gain,
+                     shil_gain_now, n_phases, None)[:, 0]
 
 
 def random_init(n: int, seed: int) -> PhaseState:
@@ -272,11 +302,11 @@ def integrate_block(
 
     Every row shares ``params`` and ``schedule``; row r starts from
     ``inits[r]`` with seed ``seeds[r]`` and rate ``detunings[r]`` (None: every
-    row at ``params.detuning``).  The rows form one (rows, n) phase array, so
-    each step and checkpoint is a fixed set of whole-array passes, and each
-    row's every step has the bits it has when the row runs alone.  Noise of
-    std ``noise_amplitude * sqrt(dt)`` per step, when enabled, comes from a
-    stream derived from the row's seed.  Phases are wrapped to [0, 2*pi)
+    row at ``params.detuning``).  The rows form the columns of one (n, rows)
+    phase array, so each step and checkpoint is a fixed set of whole-array
+    passes, and each row's every step has the bits it has when the row runs
+    alone.  Noise of std ``noise_amplitude * sqrt(dt)`` per step, when
+    enabled, comes from a stream derived from the row's seed.  Phases are wrapped to [0, 2*pi)
     after every step (`potts.wrap_phases`).  Checkpoints (the Lyapunov value,
     the rounded coloring and max |dtheta/dt|) are taken every
     round(CHECKPOINT_STRIDE / dt) steps and at the last step.
@@ -298,11 +328,8 @@ def integrate_block(
         raise ValueError("a block needs one init, seed and detuning per row")
     if any(len(init) != n for init in inits):
         raise ValueError("initial state length does not match graph")
-    u, v = graph.edge_arrays()
-    num_edges = len(u)
-    # edge endpoints of every row in the flattened (rows, n) phase array
-    offsets = n * np.arange(len(seeds))[:, None]
-    block_u, block_v = (u + offsets).ravel(), (v + offsets).ravel()
+    edges = _BlockEdges(graph, len(seeds))
+    num_edges = graph.num_edges
     kc, ks_max, nph, dt = params.coupling_gain, params.shil_gain_max, params.n_phases, params.dt
     steps = int(round(params.t_max / dt))
     ckpt_every = _checkpoint_steps(dt)
@@ -319,19 +346,17 @@ def integrate_block(
 
     # block indices of the rows still running, in the order of the arrays below
     rows = np.arange(len(seeds))
-    # a column of one rate per running row, None if no row is detuned (only
-    # fixed gradient flows leave a block early, so a detuned row stays to the end)
-    detuning = rates[:, None] if rates.any() else None
-    theta = np.stack([init.phases for init in inits])
+    # one rate per running row, None if no row is detuned (only fixed
+    # gradient flows leave a block early, so a detuned row stays to the end)
+    detuning = rates if rates.any() else None
+    theta = np.stack([init.phases for init in inits], axis=1)
     # the last checkpoint's time, and per running row its spins, settle count
     # and Lyapunov value (taken where a rise check reads it, a row ends, or
     # `record` is given)
     t_prev = spins = counts = lyap = None
 
     def f(theta: np.ndarray, t: float) -> np.ndarray:
-        ks_now = ks_max * schedule.envelope(t)
-        k = len(theta) * num_edges
-        return _rhs_core(theta, t, block_u[:k], block_v[:k], kc, ks_now, nph, detuning)
+        return _rhs_core(theta, t, edges, kc, ks_max * schedule.envelope(t), nph, detuning)
 
     def constant(t_a: float, t_b: float) -> bool:
         """Whether the envelope is constant from t_a to t_b: it is 0 on
@@ -345,9 +370,10 @@ def integrate_block(
         for i in range(steps + 1):
             t = i * dt
             if i % ckpt_every == 0 or i == steps:
-                # k1 is the velocity at this checkpoint
-                state = PhaseState(theta)
-                max_rate = np.abs(k1).max(axis=1)
+                # k1 is the velocity at this checkpoint; the state holds one
+                # run per row, C-contiguous, so row sums have their lone bits
+                state = PhaseState(theta.T)
+                max_rate = np.abs(k1).max(axis=0)
                 prev_spins, spins = spins, quantize(state, nph).spins
                 counts, settled = _settle_step(counts, prev_spins, spins, max_rate, t,
                                                schedule.ramp_end)
@@ -382,9 +408,10 @@ def integrate_block(
                     break
                 if ends.any():
                     keep = ~ends
-                    rows, theta, k1, spins, counts, lyap = (
-                        a[keep] for a in (rows, theta, k1, spins, counts, lyap))
+                    rows, spins, counts, lyap = (a[keep] for a in (rows, spins, counts, lyap))
+                    theta, k1 = theta[:, keep], k1[:, keep]
                     detuning = None if detuning is None else detuning[keep]
+                    edges.resize(len(rows))
             # the RK4 stages, in place and in the operation order of
             # theta + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4), so with its bits
             x = k1 * (0.5 * dt)
@@ -397,9 +424,9 @@ def integrate_block(
             acc *= dt / 6.0
             theta += acc
             if rngs is not None:
-                theta += np.stack([rngs[r].normal(0.0, noise_std, n) for r in rows])
+                theta += np.stack([rngs[r].normal(0.0, noise_std, n) for r in rows], axis=1)
             if not wrap_phases(theta):
-                seed = seeds[rows[np.argmin(np.isfinite(theta).all(axis=1))]]
+                seed = seeds[rows[np.argmin(np.isfinite(theta).all(axis=0))]]
                 raise IntegrationDivergedError(
                     f"run with seed {seed}: non-finite phase at t={(i + 1) * dt:g} cycles "
                     "(reduce dt or the gains)"

@@ -51,9 +51,6 @@ class Graph:
         """(u, v) endpoint arrays for vectorized edge sums."""
         return self.edges[:, 0], self.edges[:, 1]
 
-    def edge_set(self) -> set[tuple[int, int]]:
-        return {(int(u), int(v)) for u, v in self.edges}
-
 
 @dataclass(frozen=True)
 class PlantedInstance:

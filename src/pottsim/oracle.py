@@ -1,8 +1,7 @@
-"""Ground-truth machinery: exhaustive landscape enumeration and exact counts.
+"""Ground-truth machinery: exhaustive landscape enumeration.
 
-All routines here are independent of the phase dynamics and serve as its
-reference: brute-force enumeration of every lattice configuration and exact
-proper-coloring counting.
+It is independent of the phase dynamics and serves as its reference:
+brute-force enumeration of every lattice configuration.
 """
 from __future__ import annotations
 
@@ -99,17 +98,3 @@ def enumerate_landscape(graph: Graph, n_phases: int) -> Landscape:
     min_energy = float(all_energies[0])
     num_global = int(np.count_nonzero(all_energies <= min_energy + tol))
     return Landscape(n_states, all_energies, min_energy, num_global, num_local)
-
-
-def count_proper_colorings(graph: Graph, k: int) -> int:
-    """Exact number of proper k-colorings, by enumeration (guarded to 10^7)."""
-    _guard(k**graph.num_vertices, "count_proper_colorings")
-    u, v = graph.edge_arrays()
-    total = 0
-    for _, spins in _spin_chunks(graph.num_vertices, k):
-        proper = np.ones(len(spins), dtype=bool)
-        for e in range(len(u)):
-            proper &= spins[:, u[e]] != spins[:, v[e]]
-        total += int(np.count_nonzero(proper))
-    return total
-

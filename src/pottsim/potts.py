@@ -70,8 +70,9 @@ class PhaseState:
     phases: np.ndarray
 
     def __post_init__(self):
-        # a copy with -0.0 as +0.0, which np.mod gives and wrap_phases keeps
-        phases = np.add(np.asarray(self.phases, dtype=np.float64), 0.0)
+        # a C-contiguous copy (so a block's row sums have each row's lone
+        # bits) with -0.0 as +0.0, which np.mod gives and wrap_phases keeps
+        phases = np.add(np.asarray(self.phases, dtype=np.float64), 0.0, order="C")
         if not wrap_phases(phases):
             raise ValueError("non-finite phase")
         object.__setattr__(self, "phases", phases)

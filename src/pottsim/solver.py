@@ -41,16 +41,13 @@ from .potts import (
 
 HISTOGRAM_BINS = 100
 # Restarts per lockstep block (dynamics.integrate_block), on every graph.  The
-# rows of a block share the per-call overhead of the RHS.  Restarts per CPU
-# second against R = 1 (2 vCPUs): 1.9x at R = 20 on flat_200, no more at
-# R = 40.  CPU seconds of 20 restarts on rnd_1000 (two runs each): 5.60-5.80
-# at R = 1, 4.27-4.45 at R = 5, 3.76-3.93 at R = 10, 4.38-4.55 at R = 20.
-# On the 2000-vertex rnd_2000, 11.07-13.68 s at R = 1 and 11.09-12.94 s at
-# R = 20 (medians 11.9 and 12.3 s of four runs): about even.
+# rows of a block share the per-call overhead of the RHS.  CPU seconds of
+# solver._run_task (two runs each, 2 vCPUs on a shared host): 40 restarts on
+# flat_200 took 4.91-5.13 at R = 1, 1.22 at R = 20 and 1.08-1.23 at R = 40;
+# 20 restarts on rnd_1000 took 5.78-6.53 at R = 1, 4.07-4.10 at R = 5,
+# 3.51-3.53 at R = 10 and 3.50-3.63 at R = 20; 20 restarts on the
+# 2000-vertex rnd_2000 took 14.25-16.03 at R = 1 and 11.19-12.47 at R = 20.
 LOCKSTEP_ROWS = 20
-# Percentile bootstrap: resamples per interval and two-sided coverage.
-BOOTSTRAP_RESAMPLES = 1000
-BOOTSTRAP_CONFIDENCE = 0.95
 
 # Readout operating point for lattice-deviation measurements: the deviation
 # of a settled phase from its lattice target scales like 1/shil_gain, so the
@@ -283,23 +280,6 @@ def detune_sweep(
         (float(delta), float(np.degrees(np.mean(devs[k * iterations:(k + 1) * iterations]))))
         for k, delta in enumerate(deltas)
     ]
-
-
-def bootstrap_mean_diff(
-    xs: Sequence[float], ys: Sequence[float], *, seed: int = 0
-) -> tuple[float, float]:
-    """Percentile bootstrap CI for mean(xs) - mean(ys) (independent samples)."""
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    rng = np.random.default_rng(seed)
-    diffs = np.empty(BOOTSTRAP_RESAMPLES)
-    for b in range(BOOTSTRAP_RESAMPLES):
-        diffs[b] = np.mean(rng.choice(xs, len(xs))) - np.mean(rng.choice(ys, len(ys)))
-    lo = (1.0 - BOOTSTRAP_CONFIDENCE) / 2.0
-    return (
-        float(np.quantile(diffs, lo)),
-        float(np.quantile(diffs, 1.0 - lo)),
-    )
 
 
 # ---------------------------------------------------------------------------

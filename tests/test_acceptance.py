@@ -18,14 +18,14 @@ from pottsim.potts import Coloring, PhaseState, accuracy, lattice_state, lyapuno
 from pottsim.dynamics import integrate, random_init, rhs
 from pottsim.solver import (
     AblationMode,
-    bootstrap_mean_diff,
     detune_protocol_params,
     detune_sweep,
 )
-from pottsim.oracle import count_proper_colorings, enumerate_landscape
+from pottsim.oracle import enumerate_landscape
 from pottsim.cli import main as cli_main
 
 from conftest import BENCH_DIR, load_benchmark, random_colorable_graph
+from helpers import bootstrap_mean_diff, count_proper_colorings
 
 JOBS = 2
 BASE_SEED = 0

@@ -15,6 +15,7 @@ from pottsim.cli import main
 from pottsim.solver import detune_protocol_params, effective_config
 
 from conftest import BENCH_DIR, random_colorable_graph
+from helpers import edge_set
 
 
 @pytest.fixture
@@ -342,7 +343,7 @@ class TestGenCommand:
         planted = Coloring(np.array(sidecar["planted"]), sidecar["k"])
         assert accuracy(graph, planted) == 1.0
         # determinism: library call with the same seed gives the same graph
-        assert gen_planted(40, 80, 3, 5).graph.edge_set() == graph.edge_set()
+        assert edge_set(gen_planted(40, 80, 3, 5).graph) == edge_set(graph)
 
     def test_failed_sidecar_write_keeps_old_pair(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "rnd.col"

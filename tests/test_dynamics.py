@@ -22,6 +22,7 @@ from pottsim.dynamics import (
     Checkpoint,
     IntegrationDivergedError,
     Trajectory,
+    _BlockEdges,
     _rhs_core,
     _settle_step,
     integrate,
@@ -154,26 +155,26 @@ class TestRhs:
         n, rows = graph.num_vertices, len(detunings)
         phase = st.one_of(st.floats(-20.0, 20.0), st.sampled_from([np.pi, -np.pi, 3 * np.pi]))
         theta = np.array(data.draw(st.lists(phase, min_size=n * rows, max_size=n * rows)))
-        theta = theta.reshape(rows, n)
+        # one run per column, as integrate_block stores a block
+        theta = theta.reshape(n, rows)
         kc, ks = gains
         u, v = graph.edge_arrays()
-        offsets = n * np.arange(rows)[:, None]
-        block_u, block_v = (u + offsets).ravel(), (v + offsets).ravel()
         coupling = np.zeros_like(theta)
         for a, b in zip(u, v):
-            coupling[:, a] += kc * np.sin(theta[:, a] - theta[:, b])
-            coupling[:, b] += kc * np.sin(theta[:, b] - theta[:, a])
+            coupling[a] += kc * np.sin(theta[a] - theta[b])
+            coupling[b] += kc * np.sin(theta[b] - theta[a])
         degree = np.bincount(np.concatenate([u, v]), minlength=n).max(initial=0)
         for deltas in (detunings, [0.0] * rows):
-            column = np.array(deltas)[:, None]
-            got = _rhs_core(theta, t, block_u, block_v, kc, ks, n_phases,
-                            column if any(deltas) else None)
-            want = coupling - ks * np.sin(n_phases * theta - column * t)
+            rates = np.array(deltas)
+            got = _rhs_core(theta, t, _BlockEdges(graph, rows), kc, ks, n_phases,
+                            rates if any(deltas) else None)
+            want = coupling - ks * np.sin(n_phases * theta - rates * t)
             assert np.max(np.abs(got - want)) <= 1e-12 * (kc * max(degree, 1) + ks)
             # a row has the bits it has alone, whatever rows share its block
             for r, delta in enumerate(deltas):
-                alone = _rhs_core(theta[r], t, u, v, kc, ks, n_phases, delta or None)
-                assert np.array_equal(got[r], alone)
+                alone = _rhs_core(theta[:, [r]], t, _BlockEdges(graph, 1), kc, ks, n_phases,
+                                  delta or None)
+                assert np.array_equal(got[:, r], alone[:, 0])
 
     def test_rejects_negative_shil(self, single_edge):
         with pytest.raises(ValueError):
@@ -207,6 +208,18 @@ class TestIntegrate:
         assert len(traj.checkpoints) == 1
         assert traj.checkpoints[0].time == 0.0
         assert np.array_equal(traj.checkpoints[0].state.phases, init.phases)
+
+    @pytest.mark.parametrize("endpoint", [-1, 3])
+    def test_out_of_range_endpoint_is_rejected(self, endpoint):
+        # Graph checks its endpoints, but its edge array stays writable; the
+        # gathers clamp indices, so the block checks them once itself
+        graph = Graph(3, [(0, 1), (1, 2)])
+        graph.edges[1, 1] = endpoint
+        state = PhaseState([0.0, 1.0, 2.0])
+        with pytest.raises(ValueError, match="out of range"):
+            integrate_block(graph, [state], DynamicsParams(t_max=1.0), ShilSchedule(), [0])
+        with pytest.raises(ValueError, match="out of range"):
+            rhs(graph, state, 1.0, 1.0, 3)
 
     def test_k3_solves_nearly_always(self, k3):
         # the 27-state landscape has no improper local minima, so the flow

@@ -1,11 +1,11 @@
 """Per-run regression check against recorded results.
 
-`data/golden_runs.json` holds the per-run records of five short commands,
-recorded at the commit named in the file.  A change that alters any
-accuracy, `delta_energy` or `cycles` value fails here, and so does one that
-moves a `vector_energy` or a detune deviation by more than roundoff.  A
-change that alters results on purpose rewrites the file and declares the
-differences:
+`data/golden_runs.json` holds the per-run records of six short commands,
+recorded at the commit named in the file (a case added later names its own
+commit under "added").  A change that alters any accuracy, `delta_energy`
+or `cycles` value fails here, and so does one that moves a `vector_energy`
+or a detune deviation by more than roundoff.  A change that alters results
+on purpose rewrites the file and declares the differences:
 
     PYTHONPATH=src python3 tests/test_golden_runs.py
 """
@@ -33,6 +33,9 @@ CASES = {
     "ablate-couplings-only": ["ablate", "benchmarks/flat_200_479-1.col",
                               "--mode", "couplings_only", "--iters", "10"],
     "detune-flat30": ["detune", "benchmarks/flat_30_60-1.col", "--iters", "2"],
+    # per-row noise streams and detuning rates in two 5-row blocks
+    "solve-flat30-noisy-detuned": ["solve", "benchmarks/flat_30_60-1.col", "--iters", "10",
+                                   "--noise", "0.01", "--detune", "0.2", "--jobs", "2"],
 }
 
 

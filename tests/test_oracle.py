@@ -5,9 +5,10 @@ import pytest
 
 from pottsim.graph_io import Graph
 from pottsim.potts import Coloring, accuracy
-from pottsim.oracle import count_proper_colorings, enumerate_landscape
+from pottsim.oracle import enumerate_landscape
 
 from conftest import random_colorable_graph
+from helpers import count_proper_colorings
 
 
 class TestEnumerateLandscape:

@@ -22,6 +22,7 @@ from pottsim.potts import (
     wrap_phases,
 )
 
+from conftest import load_benchmark
 from strategies import colorings, graphs
 
 
@@ -123,6 +124,18 @@ class TestLyapunov:
     def test_k3_lattice(self, k3):
         state = PhaseState([0.0, 2 * np.pi / 3, 4 * np.pi / 3])
         assert lyapunov(k3, state, 1.0, 0.6, 3) == pytest.approx(-2.1)
+
+    def test_fortran_ordered_block_rows_have_their_lone_bits(self):
+        # a block built column by column (as integrate_block stores one)
+        # still sums each row with the bits of the row alone
+        graph = load_benchmark("flat_200_479-1")
+        block = np.asfortranarray(np.random.default_rng(3).random((6, graph.num_vertices)) * TWO_PI)
+        state = PhaseState(block)
+        lyap = lyapunov(graph, state, 1.0, 2.0, 3)
+        energy = vector_energy(graph, state)
+        for r, row in enumerate(block):
+            assert lyap[r] == lyapunov(graph, PhaseState(row), 1.0, 2.0, 3)
+            assert energy[r] == vector_energy(graph, PhaseState(row))
 
     def test_negative_gain_rejected(self, k3):
         state = PhaseState([0.0, 1.0, 2.0])

@@ -18,7 +18,6 @@ from pottsim.solver import (
     _detune_task,
     _run_batch,
     _run_task,
-    bootstrap_mean_diff,
     config_to_settings,
     detune_protocol_params,
     detune_sweep,
@@ -28,6 +27,7 @@ from pottsim.solver import (
 )
 
 from conftest import random_colorable_graph
+from helpers import bootstrap_mean_diff
 from strategies import graphs
 
 FAST = DynamicsParams(t_max=20.0)
