@@ -110,6 +110,9 @@ class ShilSchedule:
 
 @dataclass(frozen=True)
 class Checkpoint:
+    """One run at a checkpoint, or a block of runs (one per row of `state`
+    and `coloring`, with `time`, `lyapunov` and `max_rate` arrays)."""
+
     time: float
     state: PhaseState
     lyapunov: float
@@ -297,7 +300,7 @@ def integrate_block(
     detunings: Optional[Sequence[float]] = None,
     settle_exit: bool = False,
     record: Optional[Callable[[int, Checkpoint], None]] = None,
-) -> list[tuple[Checkpoint, Optional[float]]]:
+) -> tuple[Checkpoint, np.ndarray]:
     """Fixed-step RK4 integration of a block of runs in lockstep.
 
     Every row shares ``params`` and ``schedule``; row r starts from
@@ -308,15 +311,15 @@ def integrate_block(
     alone.  Noise of std ``noise_amplitude * sqrt(dt)`` per step, when
     enabled, comes from a stream derived from the row's seed.  Phases are wrapped to [0, 2*pi)
     after every step (`potts.wrap_phases`).  Checkpoints (the Lyapunov value,
-    the rounded coloring and max |dtheta/dt|) are taken every
-    round(CHECKPOINT_STRIDE / dt) steps and at the last step.
+    the rounded coloring and max |dtheta/dt| of every running row) are taken
+    every round(CHECKPOINT_STRIDE / dt) steps and at the last step.
 
     A row settles at the first checkpoint that meets the settle rule
     (`_settle_step`).  Every row ends at the last step, or with ``settle_exit``
     once settled if the rest of its run is a fixed gradient flow: no noise and
-    no detuning.  Checkpoint objects are built for the rows that end, and for
-    all rows when ``record(r, checkpoint)`` is given.  Returns each row's last
-    checkpoint and settle time (None if unsettled).  Raises
+    no detuning.  ``record(r, checkpoint)``, when given, gets a Checkpoint of
+    row r at each checkpoint.  Returns the block as one Checkpoint, row r at
+    its last checkpoint, and the (rows,) settle times (NaN if unsettled).  Raises
     IntegrationDivergedError, naming the row's seed, if a phase becomes
     non-finite, or if a fixed gradient flow's Lyapunov value rises by more
     than 1e-6 per edge and step between two checkpoints over which the
@@ -342,7 +345,10 @@ def integrate_block(
     exits = flows & settle_exit
     rise_tol = 1e-6 * num_edges * ckpt_every
     settled_at = np.full(len(seeds), np.nan)
-    last: list[Optional[Checkpoint]] = [None] * len(seeds)
+    # each row's last checkpoint, filled in as the row ends
+    end_time, end_lyap, end_rate = (np.empty(len(seeds)) for _ in range(3))
+    end_phases = np.empty((len(seeds), n))
+    end_spins = np.empty((len(seeds), n), dtype=np.int64)
 
     # block indices of the rows still running, in the order of the arrays below
     rows = np.arange(len(seeds))
@@ -351,8 +357,7 @@ def integrate_block(
     detuning = rates if rates.any() else None
     theta = np.stack([init.phases for init in inits], axis=1)
     # the last checkpoint's time, and per running row its spins, settle count
-    # and Lyapunov value (taken where a rise check reads it, a row ends, or
-    # `record` is given)
+    # and Lyapunov value
     t_prev = spins = counts = lyap = None
 
     def f(theta: np.ndarray, t: float) -> np.ndarray:
@@ -381,28 +386,25 @@ def integrate_block(
                 settled_at[rows[settled]] = t
                 # every running row ends at the last step
                 ends = settled & exits[rows] | (i == steps)
-                # a flow's Lyapunov value is checked against the last checkpoint's
-                # while the envelope is constant, so it is needed for this check
-                # or the next
-                flowing = flows[rows].any()
-                check = flowing and t_prev is not None and constant(t_prev, t)
-                if (check or record is not None or ends.any()
-                        or flowing and constant(t, min(i + ckpt_every, steps) * dt)):
-                    lyap_prev, lyap = lyap, lyapunov(graph, state, kc, ks_max * schedule.envelope(t), nph)
-                    if check:
-                        risen = flows[rows] & (lyap > lyap_prev + rise_tol)
-                        if risen.any():
-                            k = np.argmax(risen)
-                            raise IntegrationDivergedError(
-                                f"run with seed {seeds[rows[k]]}: Lyapunov value rose from "
-                                f"{lyap_prev[k]:g} to {lyap[k]:g} between t={t_prev:g} and t={t:g} "
-                                "cycles (reduce dt or the gains)"
-                            )
-                    for k in range(len(rows)) if record is not None else np.flatnonzero(ends):
-                        cp = last[rows[k]] = Checkpoint(t, PhaseState(state.phases[k]), float(lyap[k]),
-                                                        Coloring(spins[k], nph), float(max_rate[k]))
-                        if record is not None:
-                            record(rows[k], cp)
+                lyap_prev, lyap = lyap, lyapunov(graph, state, kc, ks_max * schedule.envelope(t), nph)
+                # a flow's Lyapunov value is checked against the last
+                # checkpoint's while the envelope is constant
+                if t_prev is not None and constant(t_prev, t):
+                    risen = flows[rows] & (lyap > lyap_prev + rise_tol)
+                    if risen.any():
+                        k = np.argmax(risen)
+                        raise IntegrationDivergedError(
+                            f"run with seed {seeds[rows[k]]}: Lyapunov value rose from "
+                            f"{lyap_prev[k]:g} to {lyap[k]:g} between t={t_prev:g} and t={t:g} "
+                            "cycles (reduce dt or the gains)"
+                        )
+                if record is not None:
+                    for k, row in enumerate(rows):
+                        record(row, Checkpoint(t, PhaseState(state.phases[k]), float(lyap[k]),
+                                               Coloring(spins[k], nph), float(max_rate[k])))
+                done = rows[ends]
+                end_time[done], end_lyap[done], end_rate[done] = t, lyap[ends], max_rate[ends]
+                end_phases[done], end_spins[done] = state.phases[ends], spins[ends]
                 t_prev = t
                 if ends.all():
                     break
@@ -433,4 +435,5 @@ def integrate_block(
                 )
             # the next step's k1 is also the velocity a checkpoint there reports
             k1 = f(theta, (i + 1) * dt)
-    return [(cp, None if np.isnan(at) else float(at)) for cp, at in zip(last, settled_at)]
+    return Checkpoint(end_time, PhaseState(end_phases), end_lyap, Coloring(end_spins, nph),
+                      end_rate), settled_at

@@ -45,7 +45,8 @@ def wrap_phases(theta: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class Coloring:
-    """Discrete spin assignment: spins[i] in {0, ..., num_phases - 1}."""
+    """Discrete spin assignment: spins[i] in {0, ..., num_phases - 1}; a 2-D
+    array holds a block of colorings, one per row."""
 
     spins: np.ndarray
     num_phases: int
@@ -88,18 +89,19 @@ def _check_length(graph: Graph, n: int, what: str):
         )
 
 
-def delta_energy(graph: Graph, coloring: Coloring) -> float:
-    """Potts energy: the number of conflicting (equal-color) edges."""
-    _check_length(graph, len(coloring), "coloring")
-    u, v = graph.edge_arrays()
-    s = coloring.spins
-    return float(np.count_nonzero(s[u] == s[v]))
-
-
-def _row_sums(x: np.ndarray):
+def _row_sums(x: np.ndarray, dtype=None):
     """Sums over the last axis: a float for a vector, else one per row."""
-    sums = np.sum(x, axis=-1)
+    sums = np.sum(x, axis=-1, dtype=dtype)
     return float(sums) if x.ndim == 1 else sums
+
+
+def delta_energy(graph: Graph, coloring: Coloring) -> float:
+    """Potts energy: the number of conflicting (equal-color) edges (per row
+    for a block of colorings)."""
+    s = coloring.spins
+    _check_length(graph, s.shape[-1], "coloring")
+    u, v = graph.edge_arrays()
+    return _row_sums(np.take(s, u, axis=-1) == np.take(s, v, axis=-1), float)
 
 
 def vector_energy(graph: Graph, state: PhaseState) -> float:
@@ -137,13 +139,12 @@ def quantize(state: PhaseState, n_phases: int) -> Coloring:
 
 
 def accuracy(graph: Graph, coloring: Coloring) -> float:
-    """Fraction of edges whose endpoints get different colors (1.0 if no edges)."""
-    _check_length(graph, len(coloring), "coloring")
-    u, v = graph.edge_arrays()
-    if len(u) == 0:
-        return 1.0
-    s = coloring.spins
-    return float(np.count_nonzero(s[u] != s[v])) / len(u)
+    """Fraction of edges whose endpoints get different colors (1.0 if no
+    edges; per row for a block of colorings)."""
+    conflicts = delta_energy(graph, coloring)
+    m = graph.num_edges
+    # without edges the conflict count is 0, so conflicts + 1.0 is 1.0 per row
+    return (m - conflicts) / m if m else conflicts + 1.0
 
 
 def lyapunov(
@@ -168,12 +169,14 @@ def lyapunov(
     return coupling_gain * vector_energy(graph, state) - (shil_gain / n_phases) * well
 
 
-def lattice_deviation(state: PhaseState, n_phases: int, offset: float = 0.0) -> np.ndarray:
+def lattice_deviation(state: PhaseState, n_phases: int,
+                      offset: float | np.ndarray = 0.0) -> np.ndarray:
     """Circular distance (radians) of each phase to its nearest lattice phase.
 
     ``offset`` rotates the lattice: deviations are measured against the grid
     {(2*pi*s + offset) / N}, which is how a detuned (rotating) SHIL stimulus
-    defines its target phases at a given time.
+    defines its target phases at a given time.  An array broadcasts against
+    the phases, so a (rows, 1) column gives each row of a block its own.
     """
     resid = np.angle(np.exp(1j * (n_phases * state.phases - offset)))
     return np.abs(resid) / n_phases

@@ -29,7 +29,6 @@ from .dynamics import (
 )
 from .graph_io import Graph
 from .potts import (
-    Coloring,
     PhaseState,
     accuracy,
     delta_energy,
@@ -120,40 +119,24 @@ def effective_config(
     return cfg
 
 
-def config_to_settings(cfg: dict) -> tuple[DynamicsParams, ShilSchedule, int, int]:
-    """Rebuild (params, schedule, iterations, base_seed) from an embedded config."""
-    return (
-        DynamicsParams(**cfg["dynamics"]),
-        ShilSchedule(**cfg["schedule"]),
-        int(cfg["iterations"]),
-        int(cfg["base_seed"]),
-    )
-
-
-def _record(graph: Graph, seed: int, coloring: Coloring, state: PhaseState,
-            cycles: Optional[float]) -> RunRecord:
-    return RunRecord(
-        seed=seed,
-        accuracy=accuracy(graph, coloring),
-        delta_energy=delta_energy(graph, coloring),
-        vector_energy=vector_energy(graph, state),
-        cycles=cycles,
-    )
-
-
 def _run_task(block: tuple) -> list[RunRecord]:
     """A block ((graph, params, schedule, mode), seeds) of restarts, stepped in
-    lockstep until each has settled (or to t_max); records in seed order.  A
-    row's record does not depend on its block, so a block of one seed is the
-    restart run alone.  Mode none scores each quantized initial state instead."""
+    lockstep until each has settled (or to t_max), and scored as one block;
+    records in seed order.  A row's record does not depend on its block, so a
+    block of one seed is the restart run alone.  Mode none scores the
+    quantized initial states instead."""
     (graph, params, schedule, mode), seeds = block
     inits = [random_init(graph.num_vertices, seed) for seed in seeds]
     if mode is AblationMode.NONE:
-        colorings = [quantize(init, params.n_phases) for init in inits]
-        return [_record(graph, seed, c, lattice_state(c), None) for seed, c in zip(seeds, colorings)]
-    ends = integrate_block(graph, inits, params, schedule, seeds, settle_exit=True)
-    return [_record(graph, seed, final.coloring, final.state, cycles)
-            for seed, (final, cycles) in zip(seeds, ends)]
+        coloring = quantize(PhaseState(np.stack([init.phases for init in inits])), params.n_phases)
+        state, settled_at = lattice_state(coloring), np.full(len(seeds), np.nan)
+    else:
+        final, settled_at = integrate_block(graph, inits, params, schedule, seeds, settle_exit=True)
+        coloring, state = final.coloring, final.state
+    columns = (accuracy(graph, coloring), delta_energy(graph, coloring),
+               vector_energy(graph, state), settled_at)
+    return [RunRecord(seed, acc, de, ve, None if np.isnan(cycles) else cycles)
+            for seed, acc, de, ve, cycles in zip(seeds, *(c.tolist() for c in columns))]
 
 
 def _params_for_mode(params: DynamicsParams, mode: Optional[AblationMode]) -> DynamicsParams:
@@ -247,11 +230,10 @@ def _detune_task(block: tuple) -> list[float]:
     seeds, deltas = zip(*rows)
     # no settle exit: every row of a sweep is read at the same horizon
     inits = [random_init(graph.num_vertices, seed) for seed in seeds]
-    ends = integrate_block(graph, inits, params, schedule, seeds, deltas)
-    return [
-        float(np.mean(lattice_deviation(final.state, params.n_phases, offset=delta * final.time)))
-        for delta, (final, _) in zip(deltas, ends)
-    ]
+    final, _ = integrate_block(graph, inits, params, schedule, seeds, deltas)
+    offset = (np.array(deltas) * final.time)[:, None]
+    # the deviations are C-contiguous, so each row's mean has its lone bits
+    return np.mean(lattice_deviation(final.state, params.n_phases, offset=offset), axis=1).tolist()
 
 
 def detune_sweep(

@@ -55,9 +55,9 @@ def gradient_fd(graph, state, kc, ks, n_phases, h=1e-5):
 
 def solved_to_t_max(graph, params, sched, seeds) -> int:
     """Runs, stepped as one block to t_max, whose final coloring is proper."""
-    ends = integrate_block(graph, [random_init(graph.num_vertices, s) for s in seeds],
-                           params, sched, list(seeds))
-    return sum(accuracy(graph, final.coloring) == 1.0 for final, _ in ends)
+    final, _ = integrate_block(graph, [random_init(graph.num_vertices, s) for s in seeds],
+                               params, sched, list(seeds))
+    return int(np.sum(accuracy(graph, final.coloring) == 1.0))
 
 
 class TestParamsValidation:
@@ -400,12 +400,12 @@ class TestIntegrate:
         for seed in range(3):
             init = random_init(20, seed)
             early, full = [], []
-            [(final, settle)] = integrate_block(graph, [init], params, sched, [seed],
-                                                settle_exit=True,
-                                                record=lambda row, cp: early.append(cp))
-            [(_, full_settle)] = integrate_block(graph, [init], params, sched, [seed],
-                                                 record=lambda row, cp: full.append(cp))
-            assert settle == final.time == early[-1].time == full_settle
+            final, [settle] = integrate_block(graph, [init], params, sched, [seed],
+                                              settle_exit=True,
+                                              record=lambda row, cp: early.append(cp))
+            _, [full_settle] = integrate_block(graph, [init], params, sched, [seed],
+                                               record=lambda row, cp: full.append(cp))
+            assert settle == final.time[0] == early[-1].time == full_settle
             assert sched.ramp_end <= settle < params.t_max
             # stopping early changes nothing before the exit
             assert len(early) < len(full)
@@ -420,10 +420,10 @@ class TestIntegrate:
     def test_settle_exit_needs_a_fixed_gradient_flow(self, params, sched):
         graph = random_colorable_graph(20, 40, seed=5)
         checkpoints = []
-        [(final, settle)] = integrate_block(graph, [random_init(20, 1)], params, sched, [1],
-                                            settle_exit=True,
-                                            record=lambda row, cp: checkpoints.append(cp))
-        assert final.time == checkpoints[-1].time == pytest.approx(params.t_max)
+        final, [settle] = integrate_block(graph, [random_init(20, 1)], params, sched, [1],
+                                          settle_exit=True,
+                                          record=lambda row, cp: checkpoints.append(cp))
+        assert final.time[0] == checkpoints[-1].time == pytest.approx(params.t_max)
         # the settle rule held well before t_max, so only the gate kept it running
         assert settle < params.t_max - 5.0
 

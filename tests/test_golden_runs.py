@@ -1,6 +1,6 @@
 """Per-run regression check against recorded results.
 
-`data/golden_runs.json` holds the per-run records of six short commands,
+`data/golden_runs.json` holds the per-run records of eight short commands,
 recorded at the commit named in the file (a case added later names its own
 commit under "added").  A change that alters any accuracy, `delta_energy`
 or `cycles` value fails here, and so does one that moves a `vector_energy`
@@ -8,9 +8,15 @@ or a detune deviation by more than roundoff.  A change that alters results
 on purpose rewrites the file and declares the differences:
 
     PYTHONPATH=src python3 tests/test_golden_runs.py
+
+A new case is recorded on its own, under "added" with the commit of the
+pottsim it ran, and leaves every other byte of the file as it is:
+
+    PYTHONPATH=src python3 tests/test_golden_runs.py --add NAME...
 """
 from __future__ import annotations
 
+import argparse
 import json
 import subprocess
 import sys
@@ -32,6 +38,9 @@ CASES = {
     "solve-rnd1000": ["solve", "benchmarks/rnd_1000.col", "--iters", "4"],
     "ablate-couplings-only": ["ablate", "benchmarks/flat_200_479-1.col",
                               "--mode", "couplings_only", "--iters", "10"],
+    "ablate-none": ["ablate", "benchmarks/flat_200_479-1.col", "--mode", "none", "--iters", "20"],
+    "ablate-sync-only": ["ablate", "benchmarks/flat_200_479-1.col",
+                         "--mode", "sync_only", "--iters", "20"],
     "detune-flat30": ["detune", "benchmarks/flat_30_60-1.col", "--iters", "2"],
     # per-row noise streams and detuning rates in two 5-row blocks
     "solve-flat30-noisy-detuned": ["solve", "benchmarks/flat_30_60-1.col", "--iters", "10",
@@ -69,11 +78,22 @@ def test_runs_match_the_recorded_results(name, tmp_path):
 if __name__ == "__main__":
     import pottsim
 
+    parser = argparse.ArgumentParser(description="Record the golden runs of the pottsim on PYTHONPATH.")
+    parser.add_argument("--add", nargs="+", choices=sorted(CASES), metavar="NAME",
+                        help="record only these cases, each under \"added\" with this commit")
+    args = parser.parse_args()
     src = Path(pottsim.__file__).resolve().parent
     sha = subprocess.run(["git", "-C", str(src), "rev-parse", "HEAD"],
                          capture_output=True, text=True, check=True).stdout.strip()
     with tempfile.TemporaryDirectory() as tmp:
-        cases = {name: run_case(argv, Path(tmp) / "out") for name, argv in CASES.items()}
+        cases = {name: run_case(CASES[name], Path(tmp) / "out") for name in args.add or CASES}
+    if args.add:
+        doc = json.loads(GOLDEN.read_text())
+        doc["cases"].update(cases)
+        doc.setdefault("added", {}).update(dict.fromkeys(cases, sha))
+    else:
+        doc = {"commit": sha, "seed": 0, "cases": cases}
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps({"commit": sha, "seed": 0, "cases": cases}, indent=1) + "\n")
-    print(f"wrote {GOLDEN} from pottsim at {src} (commit {sha})", file=sys.stderr)
+    GOLDEN.write_text(json.dumps(doc, indent=1) + "\n")
+    print(f"wrote {', '.join(cases)} to {GOLDEN} from pottsim at {src} (commit {sha})",
+          file=sys.stderr)

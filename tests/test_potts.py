@@ -101,6 +101,7 @@ class TestAccuracy:
 
     def test_edgeless_is_perfect(self, edgeless4):
         assert accuracy(edgeless4, Coloring([0, 0, 0, 0], 3)) == 1.0
+        assert accuracy(edgeless4, Coloring(np.zeros((2, 4), dtype=int), 3)).tolist() == [1.0, 1.0]
 
     @settings(max_examples=60)
     @given(data=st.data())
@@ -127,15 +128,22 @@ class TestLyapunov:
 
     def test_fortran_ordered_block_rows_have_their_lone_bits(self):
         # a block built column by column (as integrate_block stores one)
-        # still sums each row with the bits of the row alone
+        # still sums and scores each row with the bits of the row alone
         graph = load_benchmark("flat_200_479-1")
         block = np.asfortranarray(np.random.default_rng(3).random((6, graph.num_vertices)) * TWO_PI)
         state = PhaseState(block)
         lyap = lyapunov(graph, state, 1.0, 2.0, 3)
         energy = vector_energy(graph, state)
+        coloring = quantize(state, 3)
+        acc, conflicts = accuracy(graph, coloring), delta_energy(graph, coloring)
         for r, row in enumerate(block):
             assert lyap[r] == lyapunov(graph, PhaseState(row), 1.0, 2.0, 3)
             assert energy[r] == vector_energy(graph, PhaseState(row))
+            lone = quantize(PhaseState(row), 3)
+            assert np.array_equal(coloring.spins[r], lone.spins)
+            assert type(accuracy(graph, lone)) is type(delta_energy(graph, lone)) is float
+            assert acc[r].tobytes() == np.float64(accuracy(graph, lone)).tobytes()
+            assert conflicts[r].tobytes() == np.float64(delta_energy(graph, lone)).tobytes()
 
     def test_negative_gain_rejected(self, k3):
         state = PhaseState([0.0, 1.0, 2.0])

@@ -18,7 +18,6 @@ from pottsim.solver import (
     _detune_task,
     _run_batch,
     _run_task,
-    config_to_settings,
     detune_protocol_params,
     detune_sweep,
     effective_config,
@@ -60,12 +59,12 @@ class TestSolveOnce:
         for seed in range(6):
             record = run_alone(graph, params, SCHED, seed=seed)
             # the same run to t_max, without the settle exit
-            [(final, settled_at)] = integrate_block(
+            final, [settled_at] = integrate_block(
                 graph, [random_init(30, seed)], params, SCHED, [seed])
-            assert final.time == pytest.approx(params.t_max)
+            assert final.time[0] == pytest.approx(params.t_max)
             assert record.cycles < params.t_max  # the run did stop early
-            assert record.accuracy == accuracy(graph, final.coloring)
-            assert record.delta_energy == delta_energy(graph, final.coloring)
+            assert [record.accuracy] == accuracy(graph, final.coloring).tolist()
+            assert [record.delta_energy] == delta_energy(graph, final.coloring).tolist()
             assert record.cycles == settled_at
 
     def test_deterministic_per_seed(self):
@@ -154,16 +153,18 @@ class TestLockstepBlocks:
 
         # mixed rates with the settle exit: only the flows among them leave early
         def run(block):
+            """Each row's time, Lyapunov value, settle time (None if unsettled)
+            and phase bytes at its end."""
             row_seeds, rates = zip(*block)
-            return integrate_block(graph, [random_init(graph.num_vertices, s) for s in row_seeds],
-                                   shared[1], SCHED, row_seeds, rates, settle_exit=True)
+            final, settled_at = integrate_block(
+                graph, [random_init(graph.num_vertices, s) for s in row_seeds],
+                shared[1], SCHED, row_seeds, rates, settle_exit=True)
+            return [(t, lyap, None if np.isnan(at) else at, phases.tobytes())
+                    for t, lyap, at, phases in zip(final.time.tolist(), final.lyapunov.tolist(),
+                                                   settled_at.tolist(), final.state.phases)]
 
         ends = [end for block in split(rows, cuts) for end in run(block)]
-        for row, (final, settled_at) in zip(rows, ends, strict=True):
-            [(alone, alone_settled_at)] = run([row])
-            assert (final.time, final.lyapunov, settled_at) == (
-                alone.time, alone.lyapunov, alone_settled_at)
-            assert final.state.phases.tobytes() == alone.state.phases.tobytes()
+        assert ends == [end for row in rows for end in run([row])]
 
     def test_diverged_row_fails_by_its_seed(self, k3):
         # detuning * t overflows to inf near t = 1.06 in the middle row only
@@ -305,15 +306,15 @@ class TestReports:
         assert len(lines) == 2 + 5
 
     def test_config_round_trip(self, report):
-        params, schedule, iterations, base_seed = config_to_settings(report.params)
-        assert params == FAST
-        assert schedule == SCHED
-        assert (iterations, base_seed) == (5, 2)
+        cfg = report.params
+        assert DynamicsParams(**cfg["dynamics"]) == FAST
+        assert ShilSchedule(**cfg["schedule"]) == SCHED
+        assert (cfg["iterations"], cfg["base_seed"]) == (5, 2)
         assert effective_config(FAST, SCHED, 5, 2)["convergence"] == {
             "window": dynamics.CONVERGENCE_WINDOW, "eps": dynamics.CONVERGENCE_EPS,
         }
 
     def test_config_survives_json(self, report):
         cfg = json.loads(json.dumps(report.params))
-        params, schedule, _, _ = config_to_settings(cfg)
-        assert params == FAST and schedule == SCHED
+        assert DynamicsParams(**cfg["dynamics"]) == FAST
+        assert ShilSchedule(**cfg["schedule"]) == SCHED
