@@ -23,7 +23,7 @@ import numpy as np
 from .graph_io import Graph
 from .potts import Coloring, PhaseState, TWO_PI, lyapunov, quantize, wrap_phases
 
-# Time between trajectory checkpoints (cycles), rounded to a whole number of
+# Time between checkpoints (cycles), rounded to a whole number of
 # steps.
 CHECKPOINT_STRIDE = 0.5
 # Settle rule: the rounded coloring is unchanged over this many consecutive
@@ -110,35 +110,14 @@ class ShilSchedule:
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """One run at a checkpoint, or a block of runs (one per row of `state`
-    and `coloring`, with `time`, `lyapunov` and `max_rate` arrays)."""
+    """A block of runs at a checkpoint: row r of `state` and `coloring` is
+    run r, with entry r of the `time`, `lyapunov` and `max_rate` arrays."""
 
-    time: float
+    time: np.ndarray
     state: PhaseState
-    lyapunov: float
+    lyapunov: np.ndarray
     coloring: Coloring
-    max_rate: float
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Sampled run history: one checkpoint per stride plus the final time.
-
-    `stride` is the actual checkpoint spacing in cycles, a whole number of
-    integrator steps.
-    """
-
-    checkpoints: tuple[Checkpoint, ...]
-    stride: float
-
-    def __post_init__(self):
-        times = [c.time for c in self.checkpoints]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("checkpoint times must be strictly increasing")
-
-    @property
-    def final(self) -> Checkpoint:
-        return self.checkpoints[-1]
+    max_rate: np.ndarray
 
 
 class _BlockEdges:
@@ -255,25 +234,6 @@ def random_init(n: int, seed: int) -> PhaseState:
     return PhaseState(rng.random(n) * TWO_PI)
 
 
-def integrate(
-    graph: Graph,
-    init: PhaseState,
-    params: DynamicsParams,
-    schedule: ShilSchedule,
-    seed: int = 0,
-) -> Trajectory:
-    """One run of `integrate_block` to t_max, with every checkpoint kept as
-    its Trajectory."""
-    checkpoints: list[Checkpoint] = []
-    integrate_block(graph, [init], params, schedule, [seed],
-                    record=lambda row, cp: checkpoints.append(cp))
-    return Trajectory(tuple(checkpoints), _checkpoint_steps(params.dt) * params.dt)
-
-
-def _checkpoint_steps(dt: float) -> int:
-    return max(1, int(round(CHECKPOINT_STRIDE / dt)))
-
-
 def _settle_step(counts: Optional[np.ndarray], prev_spins: Optional[np.ndarray], spins: np.ndarray,
                  max_rate: np.ndarray, t: float, settle_from: float) -> tuple[np.ndarray, np.ndarray]:
     """The settle rule at one checkpoint, for each row of a block.
@@ -299,7 +259,7 @@ def integrate_block(
     seeds: Sequence[int],
     detunings: Optional[Sequence[float]] = None,
     settle_exit: bool = False,
-    record: Optional[Callable[[int, Checkpoint], None]] = None,
+    record: Optional[Callable[[np.ndarray, Checkpoint], None]] = None,
 ) -> tuple[Checkpoint, np.ndarray]:
     """Fixed-step RK4 integration of a block of runs in lockstep.
 
@@ -317,9 +277,10 @@ def integrate_block(
     A row settles at the first checkpoint that meets the settle rule
     (`_settle_step`).  Every row ends at the last step, or with ``settle_exit``
     once settled if the rest of its run is a fixed gradient flow: no noise and
-    no detuning.  ``record(r, checkpoint)``, when given, gets a Checkpoint of
-    row r at each checkpoint.  Returns the block as one Checkpoint, row r at
-    its last checkpoint, and the (rows,) settle times (NaN if unsettled).  Raises
+    no detuning.  ``record(rows, checkpoint)``, when given, is called at each
+    checkpoint with the block indices of the running rows and the Checkpoint
+    of those rows.  Returns the block as one Checkpoint, row r at its last
+    checkpoint, and the (rows,) settle times (NaN if unsettled).  Raises
     IntegrationDivergedError, naming the row's seed, if a phase becomes
     non-finite, or if a fixed gradient flow's Lyapunov value rises by more
     than 1e-6 per edge and step between two checkpoints over which the
@@ -335,7 +296,7 @@ def integrate_block(
     num_edges = graph.num_edges
     kc, ks_max, nph, dt = params.coupling_gain, params.shil_gain_max, params.n_phases, params.dt
     steps = int(round(params.t_max / dt))
-    ckpt_every = _checkpoint_steps(dt)
+    ckpt_every = max(1, int(round(CHECKPOINT_STRIDE / dt)))
     noise = params.noise_amplitude
     rngs = [np.random.default_rng([seed, 1]) for seed in seeds] if noise > 0 else None
     noise_std = noise * np.sqrt(dt)
@@ -399,9 +360,8 @@ def integrate_block(
                             "cycles (reduce dt or the gains)"
                         )
                 if record is not None:
-                    for k, row in enumerate(rows):
-                        record(row, Checkpoint(t, PhaseState(state.phases[k]), float(lyap[k]),
-                                               Coloring(spins[k], nph), float(max_rate[k])))
+                    record(rows, Checkpoint(np.full(len(rows), t), state, lyap,
+                                            Coloring(spins, nph), max_rate))
                 done = rows[ends]
                 end_time[done], end_lyap[done], end_rate[done] = t, lyap[ends], max_rate[ends]
                 end_phases[done], end_spins[done] = state.phases[ends], spins[ends]

@@ -5,8 +5,10 @@ from typing import Sequence
 
 import numpy as np
 
+from pottsim.dynamics import Checkpoint, DynamicsParams, ShilSchedule, integrate_block
 from pottsim.graph_io import Graph
 from pottsim.oracle import _guard, _spin_chunks
+from pottsim.potts import Coloring, PhaseState
 
 # Percentile bootstrap: resamples per interval and two-sided coverage.
 BOOTSTRAP_RESAMPLES = 1000
@@ -45,3 +47,17 @@ def count_proper_colorings(graph: Graph, k: int) -> int:
             proper &= spins[:, u[e]] != spins[:, v[e]]
         total += int(np.count_nonzero(proper))
     return total
+
+
+def run_checkpoints(graph: Graph, init: PhaseState, params: DynamicsParams,
+                    schedule: ShilSchedule, seed: int = 0) -> Checkpoint:
+    """Every checkpoint of one run of `integrate_block`, as one Checkpoint
+    whose row k is the run at its k-th checkpoint."""
+    seen: list[Checkpoint] = []
+    integrate_block(graph, [init], params, schedule, [seed],
+                    record=lambda rows, cp: seen.append(cp))
+    return Checkpoint(np.concatenate([cp.time for cp in seen]),
+                      PhaseState(np.concatenate([cp.state.phases for cp in seen])),
+                      np.concatenate([cp.lyapunov for cp in seen]),
+                      Coloring(np.concatenate([cp.coloring.spins for cp in seen]), params.n_phases),
+                      np.concatenate([cp.max_rate for cp in seen]))

@@ -21,17 +21,16 @@ from pottsim.dynamics import (
     CONVERGENCE_WINDOW,
     Checkpoint,
     IntegrationDivergedError,
-    Trajectory,
     _BlockEdges,
     _rhs_core,
     _settle_step,
-    integrate,
     integrate_block,
     random_init,
     rhs,
 )
 
 from conftest import random_colorable_graph
+from helpers import run_checkpoints
 from strategies import graphs
 
 # chi-square critical value, 35 degrees of freedom, significance 0.01
@@ -204,10 +203,10 @@ class TestIntegrate:
     def test_zero_horizon_keeps_initial_checkpoint(self, k3):
         params = DynamicsParams(t_max=0.0)
         init = random_init(3, seed=0)
-        traj = integrate(k3, init, params, ShilSchedule(), seed=0)
-        assert len(traj.checkpoints) == 1
-        assert traj.checkpoints[0].time == 0.0
-        assert np.array_equal(traj.checkpoints[0].state.phases, init.phases)
+        cps = run_checkpoints(k3, init, params, ShilSchedule(), seed=0)
+        assert len(cps.time) == 1
+        assert cps.time[0] == 0.0
+        assert np.array_equal(cps.state.phases[0], init.phases)
 
     @pytest.mark.parametrize("endpoint", [-1, 3])
     def test_out_of_range_endpoint_is_rejected(self, endpoint):
@@ -235,13 +234,13 @@ class TestIntegrate:
             n = 10 + trial
             graph = random_colorable_graph(n, 2 * n, seed=100 + trial)
             params = DynamicsParams(t_max=30.0)
-            traj = integrate(graph, random_init(n, seed=trial), params, sched, seed=trial)
-            steps_per_stride = int(round(traj.stride / params.dt))
+            cps = run_checkpoints(graph, random_init(n, seed=trial), params, sched, seed=trial)
+            steps_per_stride = int(round((cps.time[1] - cps.time[0]) / params.dt))
             tol = 1e-6 * graph.num_edges * steps_per_stride
-            for a, b in zip(traj.checkpoints, traj.checkpoints[1:]):
-                constant_envelope = b.time <= sched.t_on or a.time >= sched.t_on + sched.ramp
-                if constant_envelope:
-                    assert b.lyapunov <= a.lyapunov + tol
+            a, b = cps.time[:-1], cps.time[1:]
+            constant_envelope = (b <= sched.t_on) | (a >= sched.t_on + sched.ramp)
+            lyap_a, lyap_b = cps.lyapunov[:-1], cps.lyapunov[1:]
+            assert np.all(lyap_b[constant_envelope] <= lyap_a[constant_envelope] + tol)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -269,16 +268,16 @@ class TestIntegrate:
         degree = np.bincount(np.concatenate(graph.edge_arrays()), minlength=graph.num_vertices).max()
         stiffness = 2 * degree * kc + n_phases * ks
         try:
-            traj = integrate(graph, random_init(graph.num_vertices, seed), params, sched, seed=seed)
+            cps = run_checkpoints(graph, random_init(graph.num_vertices, seed), params, sched,
+                                  seed=seed)
         except IntegrationDivergedError as err:
             assert f"seed {seed}:" in str(err)
             # a step this small against the flow's stiffness descends
             assert dt * stiffness > 0.5
             return
-        tol = 1e-6 * graph.num_edges * int(round(traj.stride / dt))
-        for a, b in zip(traj.checkpoints, traj.checkpoints[1:]):
-            if b.time < sched.t_on or a.time >= sched.ramp_end:
-                assert b.lyapunov <= a.lyapunov + tol
+        tol = 1e-6 * graph.num_edges * int(round((cps.time[1] - cps.time[0]) / dt))
+        constant = (cps.time[1:] < sched.t_on) | (cps.time[:-1] >= sched.ramp_end)
+        assert np.all(cps.lyapunov[1:][constant] <= cps.lyapunov[:-1][constant] + tol)
 
     def test_well_switched_on_whole_is_not_a_rise(self):
         # with ramp 0 the envelope jumps from 0 to 1 at t_on, here a
@@ -287,8 +286,8 @@ class TestIntegrate:
         # itself is stable
         graph = random_colorable_graph(20, 40, seed=5)
         for seed in range(8):
-            integrate(graph, random_init(20, seed), DynamicsParams(t_max=6.0),
-                      ShilSchedule(t_on=5.0, ramp=0.0), seed=seed)
+            run_checkpoints(graph, random_init(20, seed), DynamicsParams(t_max=6.0),
+                            ShilSchedule(t_on=5.0, ramp=0.0), seed=seed)
 
     @pytest.mark.parametrize("sched", [
         ShilSchedule(),
@@ -300,7 +299,7 @@ class TestIntegrate:
         # yet the phases stay finite because they are wrapped mod 2*pi
         params = DynamicsParams(coupling_gain=40.0, dt=0.05, t_max=10.0)
         with pytest.raises(IntegrationDivergedError, match="seed 3: Lyapunov value rose"):
-            integrate(k4, random_init(4, seed=3), params, sched, seed=3)
+            run_checkpoints(k4, random_init(4, seed=3), params, sched, seed=3)
 
     @pytest.mark.parametrize("params, sched", [
         (DynamicsParams(noise_amplitude=0.3, t_max=30.0), ShilSchedule()),
@@ -310,12 +309,11 @@ class TestIntegrate:
         # noise kicks and the rotating lattice each raise the Lyapunov value
         # of a stable run, so these runs are not checked
         graph = random_colorable_graph(20, 40, seed=5)
-        traj = integrate(graph, random_init(20, 1), params, sched, seed=1)
-        assert traj.final.time == pytest.approx(params.t_max)
-        tol = 1e-6 * graph.num_edges * int(round(traj.stride / params.dt))
-        assert any(b.lyapunov > a.lyapunov + tol
-                   for a, b in zip(traj.checkpoints, traj.checkpoints[1:])
-                   if a.time >= sched.ramp_end)
+        cps = run_checkpoints(graph, random_init(20, 1), params, sched, seed=1)
+        assert cps.time[-1] == pytest.approx(params.t_max)
+        tol = 1e-6 * graph.num_edges * int(round((cps.time[1] - cps.time[0]) / params.dt))
+        after_ramp = cps.time[:-1] >= sched.ramp_end
+        assert np.any(cps.lyapunov[1:][after_ramp] > cps.lyapunov[:-1][after_ramp] + tol)
 
     def test_equivariant_under_lattice_rotation(self):
         graph = random_colorable_graph(12, 24, seed=2)
@@ -324,11 +322,11 @@ class TestIntegrate:
         init = random_init(12, seed=3)
         shift = 2 * np.pi / 3
         rotated = PhaseState(init.phases + shift)
-        base = integrate(graph, init, params, sched, seed=3)
-        rot = integrate(graph, rotated, params, sched, seed=3)
-        for cp_a, cp_b in zip(base.checkpoints, rot.checkpoints):
-            mismatch = np.angle(np.exp(1j * (cp_b.state.phases - cp_a.state.phases - shift)))
-            assert np.allclose(mismatch, 0.0, atol=1e-8)
+        base = run_checkpoints(graph, init, params, sched, seed=3)
+        rot = run_checkpoints(graph, rotated, params, sched, seed=3)
+        assert np.array_equal(base.time, rot.time)
+        mismatch = np.angle(np.exp(1j * (rot.state.phases - base.state.phases - shift)))
+        assert np.allclose(mismatch, 0.0, atol=1e-8)
 
     def test_lattice_configs_attract_small_perturbations(self):
         rng = np.random.default_rng(0)
@@ -337,9 +335,9 @@ class TestIntegrate:
         start = lattice_state(coloring)
         bumped = PhaseState(start.phases + rng.uniform(-0.9, 0.9, 8))  # < pi/3
         params = DynamicsParams(coupling_gain=0.0, t_max=20.0)
-        traj = integrate(graph, bumped, params, ShilSchedule(t_on=0.0, ramp=0.0), seed=0)
-        assert np.array_equal(traj.final.coloring.spins, coloring.spins)
-        assert np.max(lattice_deviation(traj.final.state, 3)) < 1e-6
+        cps = run_checkpoints(graph, bumped, params, ShilSchedule(t_on=0.0, ramp=0.0), seed=0)
+        assert np.array_equal(cps.coloring.spins[-1], coloring.spins)
+        assert np.max(lattice_deviation(cps.state, 3)[-1]) < 1e-6
 
     def test_deviation_shrinks_as_shil_dominates(self):
         graph = random_colorable_graph(20, 40, seed=3)
@@ -347,8 +345,8 @@ class TestIntegrate:
         devs = []
         for gain in (0.5, 1.0, 2.0, 4.0, 8.0):
             params = DynamicsParams(shil_gain_max=gain, dt=0.01, t_max=60.0)
-            traj = integrate(graph, random_init(20, seed=8), params, sched, seed=8)
-            devs.append(float(np.mean(lattice_deviation(traj.final.state, 3))))
+            cps = run_checkpoints(graph, random_init(20, seed=8), params, sched, seed=8)
+            devs.append(float(np.mean(lattice_deviation(cps.state, 3)[-1])))
         assert all(b <= a + 1e-9 for a, b in zip(devs, devs[1:]))
 
     def test_two_phase_machine_two_colors_bipartite(self):
@@ -368,27 +366,27 @@ class TestIntegrate:
         graph = random_colorable_graph(10, 20, seed=1)
         params = DynamicsParams(noise_amplitude=0.3, t_max=5.0)
         init = random_init(10, seed=4)
-        a = integrate(graph, init, params, ShilSchedule(), seed=4)
-        b = integrate(graph, init, params, ShilSchedule(), seed=4)
-        c = integrate(graph, init, params, ShilSchedule(), seed=5)
-        assert np.array_equal(a.final.state.phases, b.final.state.phases)
-        assert not np.array_equal(a.final.state.phases, c.final.state.phases)
+        a = run_checkpoints(graph, init, params, ShilSchedule(), seed=4)
+        b = run_checkpoints(graph, init, params, ShilSchedule(), seed=4)
+        c = run_checkpoints(graph, init, params, ShilSchedule(), seed=5)
+        assert np.array_equal(a.state.phases[-1], b.state.phases[-1])
+        assert not np.array_equal(a.state.phases[-1], c.state.phases[-1])
 
     def test_divergence_raises_with_time(self, k3):
         params = DynamicsParams(coupling_gain=1e308, t_max=1.0)
         with pytest.raises(IntegrationDivergedError, match="t="):
-            integrate(k3, random_init(3, seed=0), params, ShilSchedule(), seed=0)
+            run_checkpoints(k3, random_init(3, seed=0), params, ShilSchedule(), seed=0)
 
     def test_length_mismatch(self, k3):
         with pytest.raises(ValueError, match="length"):
-            integrate(k3, random_init(4, seed=0), DynamicsParams(t_max=1.0), ShilSchedule())
+            run_checkpoints(k3, random_init(4, seed=0), DynamicsParams(t_max=1.0), ShilSchedule())
 
     def test_stride_is_the_checkpoint_spacing(self, k3):
         # 0.5 / 0.008 = 62.5 rounds to 62 steps per checkpoint
         params = DynamicsParams(dt=0.008, t_max=2.0)
-        traj = integrate(k3, random_init(3, seed=0), params, ShilSchedule(), seed=0)
-        assert traj.stride == 62 * 0.008
-        assert traj.checkpoints[1].time == traj.stride
+        cps = run_checkpoints(k3, random_init(3, seed=0), params, ShilSchedule(), seed=0)
+        assert cps.time[1] - cps.time[0] == 62 * 0.008
+        assert cps.time[2] == 124 * 0.008
 
     @pytest.mark.parametrize("kc", [1.0, 0.0])
     def test_settle_exit_stops_at_the_settle_time(self, kc):
@@ -402,15 +400,15 @@ class TestIntegrate:
             early, full = [], []
             final, [settle] = integrate_block(graph, [init], params, sched, [seed],
                                               settle_exit=True,
-                                              record=lambda row, cp: early.append(cp))
+                                              record=lambda rows, cp: early.append(cp))
             _, [full_settle] = integrate_block(graph, [init], params, sched, [seed],
-                                               record=lambda row, cp: full.append(cp))
-            assert settle == final.time[0] == early[-1].time == full_settle
+                                               record=lambda rows, cp: full.append(cp))
+            assert settle == final.time[0] == early[-1].time[0] == full_settle
             assert sched.ramp_end <= settle < params.t_max
             # stopping early changes nothing before the exit
             assert len(early) < len(full)
             for a, b in zip(early, full):
-                assert a.time == b.time and a.max_rate == b.max_rate
+                assert a.time[0] == b.time[0] and a.max_rate[0] == b.max_rate[0]
                 assert np.array_equal(a.state.phases, b.state.phases)
 
     @pytest.mark.parametrize("params, sched", [
@@ -422,8 +420,8 @@ class TestIntegrate:
         checkpoints = []
         final, [settle] = integrate_block(graph, [random_init(20, 1)], params, sched, [1],
                                           settle_exit=True,
-                                          record=lambda row, cp: checkpoints.append(cp))
-        assert final.time[0] == checkpoints[-1].time == pytest.approx(params.t_max)
+                                          record=lambda rows, cp: checkpoints.append(cp))
+        assert final.time[0] == checkpoints[-1].time[0] == pytest.approx(params.t_max)
         # the settle rule held well before t_max, so only the gate kept it running
         assert settle < params.t_max - 5.0
 
@@ -438,28 +436,61 @@ class TestIntegrate:
         seeds = [3, 4, 5, 6, 7]
         recorded = []
         integrate_block(graph, [random_init(30, s) for s in seeds], params, sched,
-                        seeds, record=lambda row, cp: recorded.append((row, cp)))
-        traj = integrate(graph, random_init(30, 3), params, sched, seed=3)
+                        seeds, record=lambda rows, cp: recorded.append((rows, cp)))
+        alone = run_checkpoints(graph, random_init(30, 3), params, sched, seed=3)
         # row 0 of the block is the run alone, checkpoint for checkpoint
-        for a, b in zip([cp for row, cp in recorded if row == 0], traj.checkpoints, strict=True):
-            assert (a.time, a.lyapunov, a.max_rate) == (b.time, b.lyapunov, b.max_rate)
-            assert a.state.phases.tobytes() == b.state.phases.tobytes()
-            assert np.array_equal(a.coloring.spins, b.coloring.spins)
-        for cp in [cp for _, cp in recorded] + list(traj.checkpoints):
-            ks_now = params.shil_gain_max * sched.envelope(cp.time)
-            assert cp.lyapunov == lyapunov(graph, cp.state, params.coupling_gain, ks_now,
-                                           params.n_phases)
-            assert np.array_equal(cp.coloring.spins, quantize(cp.state, params.n_phases).spins)
-        assert len(recorded) == len(seeds) * len(traj.checkpoints)
+        assert len(recorded) == len(alone.time)
+        for k, (rows, a) in enumerate(recorded):
+            assert rows[0] == 0
+            assert ((a.time[0], a.lyapunov[0], a.max_rate[0])
+                    == (alone.time[k], alone.lyapunov[k], alone.max_rate[k]))
+            assert a.state.phases[0].tobytes() == alone.state.phases[k].tobytes()
+            assert np.array_equal(a.coloring.spins[0], alone.coloring.spins[k])
+        # every row's Lyapunov value and coloring are those of the row alone
+        for cp in [cp for _, cp in recorded] + [alone]:
+            for time, phases, lyap, spins in zip(cp.time, cp.state.phases, cp.lyapunov,
+                                                 cp.coloring.spins, strict=True):
+                ks_now = params.shil_gain_max * sched.envelope(time)
+                assert lyap == lyapunov(graph, PhaseState(phases), params.coupling_gain, ks_now,
+                                        params.n_phases)
+                assert np.array_equal(spins, quantize(PhaseState(phases), params.n_phases).spins)
+        assert sum(len(rows) for rows, _ in recorded) == len(seeds) * len(alone.time)
+
+    def test_record_gets_the_running_rows_at_strictly_increasing_times(self):
+        # rows that settle leave the block, so later checkpoints record fewer
+        # rows; each row's last recorded checkpoint is the one returned
+        graph = random_colorable_graph(20, 40, seed=5)
+        seeds = [0, 1, 2, 3]
+        recorded = []
+        final, settled_at = integrate_block(graph, [random_init(20, s) for s in seeds],
+                                            DynamicsParams(t_max=40.0), ShilSchedule(), seeds,
+                                            settle_exit=True,
+                                            record=lambda rows, cp: recorded.append((rows, cp)))
+        times = [cp.time[0] for _, cp in recorded]
+        assert all(b > a for a, b in zip(times, times[1:]))
+        for rows, cp in recorded:
+            assert np.all(cp.time == cp.time[0])
+            assert (len(rows) == len(cp.state.phases) == len(cp.lyapunov)
+                    == len(cp.coloring.spins) == len(cp.max_rate))
+        assert [len(rows) for rows, _ in recorded] != [len(seeds)] * len(recorded)
+        for r in range(len(seeds)):
+            rows, cp = [(rows, cp) for rows, cp in recorded if r in rows][-1]
+            k = list(rows).index(r)
+            assert cp.time[k] == final.time[r] == settled_at[r]
+            assert (cp.lyapunov[k], cp.max_rate[k]) == (final.lyapunov[r], final.max_rate[r])
+            assert cp.state.phases[k].tobytes() == final.state.phases[r].tobytes()
+            assert np.array_equal(cp.coloring.spins[k], final.coloring.spins[r])
+
+
+def lattice_checkpoint(time: float, coloring: Coloring, max_rate: float) -> Checkpoint:
+    """A one-row block at the lattice point of `coloring`."""
+    return Checkpoint(np.array([time]), PhaseState(lattice_state(coloring).phases[None]),
+                      np.array([-1.0]), Coloring(coloring.spins[None], coloring.num_phases),
+                      np.array([max_rate]))
 
 
 def constant_checkpoints(coloring: Coloring, count: int, stride: float = 0.5) -> list[Checkpoint]:
-    state = lattice_state(coloring)
-    return [
-        Checkpoint(time=i * stride if i else 0.0, state=state, lyapunov=-1.0,
-                   coloring=coloring, max_rate=0.0)
-        for i in range(count)
-    ]
+    return [lattice_checkpoint(i * stride, coloring, 0.0) for i in range(count)]
 
 
 def first_settle(checkpoints: list[Checkpoint], settle_from: float):
@@ -467,11 +498,11 @@ def first_settle(checkpoints: list[Checkpoint], settle_from: float):
     one-row block reports a settle."""
     counts = spins = None
     for cp in checkpoints:
-        counts, settled = _settle_step(counts, spins, cp.coloring.spins[None],
-                                       np.array([cp.max_rate]), cp.time, settle_from)
-        spins = cp.coloring.spins[None]
+        counts, settled = _settle_step(counts, spins, cp.coloring.spins, cp.max_rate,
+                                       cp.time[0], settle_from)
+        spins = cp.coloring.spins
         if settled[0]:
-            return cp.time
+            return cp.time[0]
     return None
 
 
@@ -482,11 +513,7 @@ class TestDetectConvergence:
 
     def test_flickering_coloring_never_converges(self):
         a, b = Coloring([0, 1, 2], 3), Coloring([1, 2, 0], 3)
-        cps = [
-            Checkpoint(i * 0.5 if i else 0.0, lattice_state(a if i % 2 else b),
-                       -1.0, a if i % 2 else b, 0.0)
-            for i in range(10)
-        ]
+        cps = [lattice_checkpoint(i * 0.5, a if i % 2 else b, 0.0) for i in range(10)]
         assert first_settle(cps, 0.0) is None
 
     def test_settle_counts_from_settle_from(self):
@@ -509,19 +536,8 @@ class TestDetectConvergence:
 
     def test_high_rate_blocks_convergence(self):
         coloring = Coloring([0, 1, 2], 3)
-        cps = [
-            Checkpoint(i * 0.5 if i else 0.0, lattice_state(coloring), -1.0, coloring, 1.0)
-            for i in range(10)
-        ]
+        cps = [lattice_checkpoint(i * 0.5, coloring, 1.0) for i in range(10)]
         assert first_settle(cps, 0.0) is None
-
-class TestTrajectory:
-    def test_strictly_increasing_times_enforced(self):
-        coloring = Coloring([0], 2)
-        cp = Checkpoint(1.0, lattice_state(coloring), 0.0, coloring, 0.0)
-        with pytest.raises(ValueError):
-            Trajectory((cp, cp), 0.5)
-
 
 class TestWrapPhases:
     @pytest.mark.parametrize("params", [
@@ -541,13 +557,13 @@ class TestWrapPhases:
             return True
 
         monkeypatch.setattr(dynamics, "wrap_phases", checked)
-        traj = integrate(k4, random_init(4, 2), params, ShilSchedule(), seed=2)
+        cps = run_checkpoints(k4, random_init(4, 2), params, ShilSchedule(), seed=2)
         beyond = [lo < -TWO_PI or hi >= 2 * TWO_PI for lo, hi in spans]
         assert any(beyond) == (params.coupling_gain == 500.0)
-        final = traj.final.state.phases
+        final = cps.state.phases[-1]
         assert np.all(np.isfinite(final)) and np.all((0 <= final) & (final < TWO_PI))
 
     def test_non_finite_phase_names_the_seed(self, k4):
         params = DynamicsParams(coupling_gain=1e308, noise_amplitude=0.01, t_max=1.0)
         with pytest.raises(IntegrationDivergedError, match="seed 7: non-finite phase at t="):
-            integrate(k4, random_init(4, seed=7), params, ShilSchedule(), seed=7)
+            run_checkpoints(k4, random_init(4, seed=7), params, ShilSchedule(), seed=7)

@@ -10,6 +10,8 @@ from pottsim.oracle import enumerate_landscape
 from conftest import random_colorable_graph
 from helpers import count_proper_colorings
 
+C4 = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+
 
 class TestEnumerateLandscape:
     def test_k3_three_phases(self, k3):
@@ -47,6 +49,18 @@ class TestEnumerateLandscape:
             scape = enumerate_landscape(graph, 3)
             assert scape.num_global_minima == count_proper_colorings(graph, 3)
             assert scape.min_energy == pytest.approx(-0.5 * graph.num_edges)
+        # N = 2 on a bipartite graph: the two proper 2-colorings of the 4-cycle
+        scape = enumerate_landscape(C4, 2)
+        assert scape.num_global_minima == count_proper_colorings(C4, 2) == 2
+        assert scape.min_energy == pytest.approx(-C4.num_edges)
+
+    def test_four_phases_is_a_clock_model(self, k3):
+        # for N >= 4 the lattice energy is not the Potts energy: neighbours two
+        # colors apart score below adjacent ones, so the global minima and the
+        # proper colorings part ways (the gap the README states)
+        for graph, minima, proper in ((C4, 4, 84), (k3, 36, 24)):
+            assert enumerate_landscape(graph, 4).num_global_minima == minima
+            assert count_proper_colorings(graph, 4) == proper
 
     def test_size_guard(self):
         graph = Graph(15, [(0, 1)])
