@@ -13,7 +13,6 @@ from .graph_io import Graph
 from .potts import TWO_PI
 
 ENUMERATION_GUARD = 10_000_000
-_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -45,16 +44,6 @@ def _guard(n_states: float, what: str):
         )
 
 
-def _spin_chunks(num_vertices: int, n_phases: int):
-    """Yield (codes, spins) for all N^V configurations in fixed chunks."""
-    n_states = n_phases**num_vertices
-    powers = n_phases ** np.arange(num_vertices, dtype=np.int64)
-    for start in range(0, n_states, _CHUNK):
-        codes = np.arange(start, min(start + _CHUNK, n_states), dtype=np.int64)
-        spins = (codes[:, None] // powers[None, :]) % n_phases
-        yield codes, spins
-
-
 def enumerate_landscape(graph: Graph, n_phases: int) -> Landscape:
     """Evaluate the vector-Potts energy of every lattice configuration.
 
@@ -66,35 +55,28 @@ def enumerate_landscape(graph: Graph, n_phases: int) -> Landscape:
         raise ValueError("n_phases must be >= 2")
     n_states = n_phases**graph.num_vertices
     _guard(n_states, "enumerate_landscape")
-    u, v = graph.edge_arrays()
+    # one array with axis i holding vertex i's spin; each edge adds
+    # costab[(s_u - s_v) % N] on axes u and v, in edge order and with u < v
+    # as Graph stores it (cos(2*pi*k/N) and cos(2*pi*(N-k)/N) differ in bits)
     costab = np.cos(TWO_PI * np.arange(n_phases) / n_phases)
-    adjacency: list[list[int]] = [[] for _ in range(graph.num_vertices)]
-    for a, b in graph.edges:
-        adjacency[a].append(int(b))
-        adjacency[b].append(int(a))
+    spins = np.arange(n_phases)
+    energy = np.zeros((n_phases,) * graph.num_vertices)
+    for u, v in graph.edges:
+        shape = [1] * graph.num_vertices
+        shape[u] = shape[v] = n_phases
+        energy += costab[np.subtract.outer(spins, spins) % n_phases].reshape(shape)
 
+    # local minima: along vertex i's axis lie the configuration and each of
+    # its single-vertex spin changes at i, so none lowers the energy by more
+    # than tol iff the configuration is within tol of that axis's minimum
     tol = 1e-9 * max(1.0, float(graph.num_edges))
-    all_energies = np.empty(n_states, dtype=np.float64)
-    num_local = 0
-    for codes, spins in _spin_chunks(graph.num_vertices, n_phases):
-        energies = np.zeros(len(codes))
-        for e in range(len(u)):
-            energies += costab[(spins[:, u[e]] - spins[:, v[e]]) % n_phases]
-        all_energies[codes[0] : codes[0] + len(codes)] = energies
+    is_local = np.ones(energy.shape, dtype=bool)
+    for axis in range(graph.num_vertices):
+        # is_local &= (energy <= axis minimum + tol), written in place
+        np.less_equal(energy, energy.min(axis, keepdims=True) + tol, out=is_local, where=is_local)
 
-        is_local = np.ones(len(codes), dtype=bool)
-        for vertex in range(graph.num_vertices):
-            if not adjacency[vertex] or not is_local.any():
-                continue
-            # energy contribution of this vertex for each candidate spin
-            contrib = np.zeros((len(codes), n_phases))
-            for nbr in adjacency[vertex]:
-                contrib += costab[(np.arange(n_phases)[None, :] - spins[:, nbr, None]) % n_phases]
-            current = contrib[np.arange(len(codes)), spins[:, vertex]]
-            is_local &= contrib.min(axis=1) >= current - tol
-        num_local += int(np.count_nonzero(is_local))
-
-    all_energies.sort()
-    min_energy = float(all_energies[0])
-    num_global = int(np.count_nonzero(all_energies <= min_energy + tol))
-    return Landscape(n_states, all_energies, min_energy, num_global, num_local)
+    energies = energy.reshape(-1)
+    energies.sort()
+    min_energy = float(energies[0])
+    num_global = int(np.count_nonzero(energies <= min_energy + tol))
+    return Landscape(n_states, energies, min_energy, num_global, int(np.count_nonzero(is_local)))

@@ -129,12 +129,9 @@ def quantize(state: PhaseState, n_phases: int) -> Coloring:
     x = (state.phases * n_phases) / TWO_PI
     lo = np.floor(x)
     frac = x - lo
-    spins = np.where(frac > 0.5, lo + 1.0, lo).astype(np.int64) % n_phases
-    tie = frac == 0.5
-    if np.any(tie):
-        a = lo.astype(np.int64) % n_phases
-        b = (lo.astype(np.int64) + 1) % n_phases
-        spins = np.where(tie, np.minimum(a, b), spins)
+    # a tie's lower index is lo, bar the wrap from N - 1 to 0
+    up = (frac > 0.5) | ((frac == 0.5) & (lo == n_phases - 1))
+    spins = (lo + up).astype(np.int64) % n_phases
     return Coloring(spins, n_phases)
 
 

@@ -7,12 +7,14 @@ import numpy as np
 
 from pottsim.dynamics import Checkpoint, DynamicsParams, ShilSchedule, integrate_block
 from pottsim.graph_io import Graph
-from pottsim.oracle import _guard, _spin_chunks
+from pottsim.oracle import _guard
 from pottsim.potts import Coloring, PhaseState
 
 # Percentile bootstrap: resamples per interval and two-sided coverage.
 BOOTSTRAP_RESAMPLES = 1000
 BOOTSTRAP_CONFIDENCE = 0.95
+# configurations per chunk of `_spin_chunks`
+_CHUNK = 1 << 16
 
 
 def bootstrap_mean_diff(
@@ -34,6 +36,16 @@ def bootstrap_mean_diff(
 
 def edge_set(graph: Graph) -> set[tuple[int, int]]:
     return {(int(u), int(v)) for u, v in graph.edges}
+
+
+def _spin_chunks(num_vertices: int, n_phases: int):
+    """Yield (codes, spins) for all N^V configurations in fixed chunks."""
+    n_states = n_phases**num_vertices
+    powers = n_phases ** np.arange(num_vertices, dtype=np.int64)
+    for start in range(0, n_states, _CHUNK):
+        codes = np.arange(start, min(start + _CHUNK, n_states), dtype=np.int64)
+        spins = (codes[:, None] // powers[None, :]) % n_phases
+        yield codes, spins
 
 
 def count_proper_colorings(graph: Graph, k: int) -> int:

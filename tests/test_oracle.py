@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from pottsim.graph_io import Graph
-from pottsim.potts import Coloring, accuracy
+from pottsim.potts import Coloring, accuracy, lattice_state, vector_energy
 from pottsim.oracle import enumerate_landscape
 
 from conftest import random_colorable_graph
@@ -62,6 +65,19 @@ class TestEnumerateLandscape:
             assert enumerate_landscape(graph, 4).num_global_minima == minima
             assert count_proper_colorings(graph, 4) == proper
 
+    def test_large_n_on_small_graphs(self):
+        # the landscape is one N^V array: a single vertex at N = 10^6 and an
+        # edge at N = 1000 each hold 10^6 states
+        scape = enumerate_landscape(Graph(1, []), 10**6)
+        assert scape.n_states == 10**6
+        assert scape.num_global_minima == scape.num_local_minima == 10**6
+        assert scape.min_energy == 0.0
+        scape = enumerate_landscape(Graph(2, [(0, 1)]), 1000)
+        assert scape.n_states == 10**6
+        # only the 1000 antipodal pairs: any other pair can move one end there
+        assert scape.num_global_minima == scape.num_local_minima == 1000
+        assert scape.min_energy == pytest.approx(-1.0)
+
     def test_size_guard(self):
         graph = Graph(15, [(0, 1)])
         with pytest.raises(ValueError, match="guard"):
@@ -92,14 +108,31 @@ class TestCrossChecks:
         # they are exactly the zero-conflict colorings
         graph = random_colorable_graph(6, 10, seed=3)
         scape = enumerate_landscape(graph, 3)
-        import itertools
-
         hits = 0
         for spins in itertools.product(range(3), repeat=6):
             coloring = Coloring(np.array(spins), 3)
-            from pottsim.potts import lattice_state, vector_energy
-
             if abs(vector_energy(graph, lattice_state(coloring)) - scape.min_energy) <= 1e-9:
                 hits += 1
                 assert accuracy(graph, coloring) == 1.0
         assert hits == scape.num_global_minima
+
+    def test_local_minima_counts_are_exact(self, k3, k4):
+        # plain-Python reference: a configuration is a local minimum if no
+        # single-vertex spin change lowers its energy by more than the tolerance
+        graphs = [k3, C4, k4, Graph(4, [(0, 1), (1, 2)]),  # a path and a lone vertex
+                  random_colorable_graph(6, 9, seed=5), random_colorable_graph(7, 10, seed=8)]
+        for graph in graphs:
+            edges = [(int(u), int(v)) for u, v in graph.edges]
+            tol = 1e-9 * max(1.0, float(len(edges)))
+            for n in range(2, 6):
+                energy = {
+                    spins: sum(math.cos(2 * math.pi * ((spins[u] - spins[v]) % n) / n)
+                               for u, v in edges)
+                    for spins in itertools.product(range(n), repeat=graph.num_vertices)
+                }
+                local = sum(
+                    all(energy[spins[:i] + (k,) + spins[i + 1:]] >= e - tol
+                        for i in range(graph.num_vertices) for k in range(n))
+                    for spins, e in energy.items()
+                )
+                assert enumerate_landscape(graph, n).num_local_minima == local, (graph, n)
