@@ -132,7 +132,8 @@ class _BlockEdges:
     """
 
     def __init__(self, graph: Graph, rows: int):
-        self.u, self.v = graph.edge_arrays()
+        # contiguous copies: `take` would convert a strided index array per call
+        self.u, self.v = (np.ascontiguousarray(e) for e in graph.edge_arrays())
         if self.u.size and (min(self.u.min(), self.v.min()) < 0
                             or max(self.u.max(), self.v.max()) >= graph.num_vertices):
             raise ValueError("edge endpoint out of range")
@@ -155,15 +156,14 @@ def _rhs_core(
     coupling_gain: float,
     shil_gain_now: float,
     n_phases: int,
-    detuning: float | np.ndarray | None,
+    detuning: np.ndarray | None,
 ) -> np.ndarray:
     """Phase velocities of a block of runs: row r of the block is column r of
     the (n, rows) arrays `theta` and the result, and `edges` is sized for the
     block.
 
     Each row's velocities have the bits of the run on its own (a block of one
-    row).  `detuning` is None when no row is detuned, else one rate per row
-    (a lone run's rate may be a number).
+    row).  `detuning` is None when no row is detuned, else one rate per row.
 
     One transcendental pass serves the whole call: with h = tan(theta / 2),
     w = 2 / (1 + h^2) gives sin(theta) = h * w and cos(theta) = w - 1, and
@@ -192,8 +192,8 @@ def _rhs_core(
     out = coupling_gain * coupling.reshape(theta.shape)
     if shil_gain_now != 0.0:
         two_c = c + c
-        # (U_{N-2}, U_{N-1}) from U_{-1} = 0, U_0 = 1 and U_1 = 2 cos(theta)
-        u_prev, u_cur = (0.0, 1.0) if n_phases == 1 else (1.0, two_c)
+        # (U_{N-2}, U_{N-1}) from U_0 = 1 and U_1 = 2 cos(theta), as N >= 2
+        u_prev, u_cur = 1.0, two_c
         for _ in range(n_phases - 2):
             u_prev, u_cur = u_cur, two_c * u_cur - u_prev
         shil = s * u_cur
@@ -204,24 +204,6 @@ def _rhs_core(
             shil = shil * np.cos(phase) - (c * u_cur - u_prev) * np.sin(phase)
         out -= shil_gain_now * shil
     return out
-
-
-def rhs(
-    graph: Graph,
-    state: PhaseState,
-    coupling_gain: float,
-    shil_gain_now: float,
-    n_phases: int,
-) -> np.ndarray:
-    """Instantaneous phase velocities for the given gains, without detuning.
-
-    This is exactly minus the gradient of
-    ``lyapunov(graph, state, coupling_gain, shil_gain_now, n_phases)``.
-    """
-    if shil_gain_now < 0:
-        raise ValueError("shil_gain_now must be >= 0")
-    return _rhs_core(state.phases[:, None], 0.0, _BlockEdges(graph, 1), coupling_gain,
-                     shil_gain_now, n_phases, None)[:, 0]
 
 
 def random_init(n: int, seed: int) -> PhaseState:

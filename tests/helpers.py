@@ -5,7 +5,8 @@ from typing import Sequence
 
 import numpy as np
 
-from pottsim.dynamics import Checkpoint, DynamicsParams, ShilSchedule, integrate_block
+from pottsim.dynamics import (Checkpoint, DynamicsParams, ShilSchedule, _BlockEdges, _rhs_core,
+                              integrate_block)
 from pottsim.graph_io import Graph
 from pottsim.oracle import _guard
 from pottsim.potts import Coloring, PhaseState
@@ -73,3 +74,8 @@ def run_checkpoints(graph: Graph, init: PhaseState, params: DynamicsParams,
                       np.concatenate([cp.lyapunov for cp in seen]),
                       Coloring(np.concatenate([cp.coloring.spins for cp in seen]), params.n_phases),
                       np.concatenate([cp.max_rate for cp in seen]))
+
+
+def velocity(graph: Graph, state: PhaseState, kc: float, ks: float, n_phases: int) -> np.ndarray:
+    """One undetuned state's phase velocities: minus the gradient of `lyapunov`."""
+    return _rhs_core(state.phases[:, None], 0.0, _BlockEdges(graph, 1), kc, ks, n_phases, None)[:, 0]

@@ -15,7 +15,7 @@ import pytest
 from pottsim import DynamicsParams, ShilSchedule, solve_multi
 from pottsim.graph_io import Graph
 from pottsim.potts import Coloring, PhaseState, accuracy, lattice_state, lyapunov, quantize
-from pottsim.dynamics import random_init, rhs
+from pottsim.dynamics import random_init
 from pottsim.solver import (
     AblationMode,
     detune_protocol_params,
@@ -25,7 +25,7 @@ from pottsim.oracle import enumerate_landscape
 from pottsim.cli import main as cli_main
 
 from conftest import BENCH_DIR, load_benchmark, random_colorable_graph
-from helpers import bootstrap_mean_diff, count_proper_colorings, run_checkpoints
+from helpers import bootstrap_mean_diff, count_proper_colorings, run_checkpoints, velocity
 
 JOBS = 2
 BASE_SEED = 0
@@ -194,7 +194,7 @@ def test_criterion_5_dynamics_correctness():
         graph = Graph(n, np.array([pairs[i] for i in picked], dtype=int).reshape(-1, 2))
         state = PhaseState(rng.random(n) * 2 * np.pi)
         kc, ks = float(rng.random() * 2), float(rng.random() * 3)
-        vel = rhs(graph, state, kc, ks, n_phases)
+        vel = velocity(graph, state, kc, ks, n_phases)
         h = 1e-5
         for i in range(n):
             up, dn = state.phases.copy(), state.phases.copy()
@@ -231,7 +231,7 @@ def test_criterion_5_dynamics_correctness():
     emit(5, "dynamics correctness", ok,
          f"gradient max error {max_err:.2e}; descent {'ok' if descent_ok else 'violated'}; "
          f"round-trip {'ok' if round_ok else 'broken'}")
-    assert grad_ok, f"rhs vs finite-difference gradient error {max_err:.2e} > 1e-6"
+    assert grad_ok, f"velocity vs finite-difference gradient error {max_err:.2e} > 1e-6"
     assert descent_ok, "Lyapunov increased on a constant-envelope segment"
     assert round_ok, "quantize(lattice_state(s)) != s for some spin"
 

@@ -26,11 +26,10 @@ from pottsim.dynamics import (
     _settle_step,
     integrate_block,
     random_init,
-    rhs,
 )
 
 from conftest import random_colorable_graph
-from helpers import run_checkpoints
+from helpers import run_checkpoints, velocity
 from strategies import graphs
 
 # chi-square critical value, 35 degrees of freedom, significance 0.01
@@ -103,13 +102,12 @@ class TestRhs:
     def test_lattice_is_fixed_point_without_coupling(self):
         graph = random_colorable_graph(6, 9, seed=0)
         coloring = Coloring([0, 1, 2, 0, 1, 2], 3)
-        vel = rhs(graph, lattice_state(coloring), coupling_gain=0.0,
-                  shil_gain_now=2.0, n_phases=3)
+        vel = velocity(graph, lattice_state(coloring), kc=0.0, ks=2.0, n_phases=3)
         assert np.allclose(vel, 0.0, atol=1e-12)
 
     def test_repulsive_pair_drifts_apart(self, single_edge):
         state = PhaseState([0.0, 2 * np.pi / 3])
-        vel = rhs(single_edge, state, 1.0, 0.0, 3)
+        vel = velocity(single_edge, state, 1.0, 0.0, 3)
         root3_half = np.sqrt(3) / 2
         assert vel[0] == pytest.approx(-root3_half)
         assert vel[1] == pytest.approx(root3_half)
@@ -117,7 +115,7 @@ class TestRhs:
     def test_matches_negative_gradient(self):
         rng = np.random.default_rng(11)
         for _ in range(30):
-            n_phases = int(rng.integers(2, 5))
+            n_phases = int(rng.integers(2, 6))
             n = int(rng.integers(2, 10))
             pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
             m = int(rng.integers(0, len(pairs) + 1))
@@ -125,20 +123,13 @@ class TestRhs:
             graph = Graph(n, np.array([pairs[i] for i in picked], dtype=int).reshape(-1, 2))
             state = PhaseState(rng.random(n) * 2 * np.pi)
             kc, ks = float(rng.random() * 2), float(rng.random() * 3)
-            vel = rhs(graph, state, kc, ks, n_phases)
+            vel = velocity(graph, state, kc, ks, n_phases)
             assert np.allclose(vel, -gradient_fd(graph, state, kc, ks, n_phases), atol=1e-6)
-
-    def test_single_phase_matches_negative_gradient(self):
-        # N = 1: the Chebyshev recurrence takes no step
-        graph = random_colorable_graph(6, 9, seed=0)
-        state = random_init(6, seed=4)
-        vel = rhs(graph, state, 0.7, 2.5, 1)
-        assert np.allclose(vel, -gradient_fd(graph, state, 0.7, 2.5, 1), atol=1e-6)
 
     @settings(max_examples=80, deadline=None)
     @given(
         graph=graphs(),
-        n_phases=st.integers(min_value=1, max_value=8),
+        n_phases=st.integers(min_value=2, max_value=8),
         gains=st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 60.0)),
         t=st.floats(0.0, 10.0),
         detunings=st.lists(st.sampled_from([1e-5, -2.0, 30.0, 300.0, -300.0]),
@@ -172,12 +163,8 @@ class TestRhs:
             # a row has the bits it has alone, whatever rows share its block
             for r, delta in enumerate(deltas):
                 alone = _rhs_core(theta[:, [r]], t, _BlockEdges(graph, 1), kc, ks, n_phases,
-                                  delta or None)
+                                  np.array([delta]) if delta else None)
                 assert np.array_equal(got[:, r], alone[:, 0])
-
-    def test_rejects_negative_shil(self, single_edge):
-        with pytest.raises(ValueError):
-            rhs(single_edge, PhaseState([0.0, 1.0]), 1.0, -1.0, 3)
 
 
 class TestRandomInit:
@@ -218,7 +205,7 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="out of range"):
             integrate_block(graph, [state], DynamicsParams(t_max=1.0), ShilSchedule(), [0])
         with pytest.raises(ValueError, match="out of range"):
-            rhs(graph, state, 1.0, 1.0, 3)
+            velocity(graph, state, 1.0, 1.0, 3)
 
     def test_k3_solves_nearly_always(self, k3):
         # the 27-state landscape has no improper local minima, so the flow

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +16,17 @@ from pottsim.potts import accuracy
 from conftest import BENCH_DIR
 from helpers import edge_set
 from strategies import graphs
+
+# numpy.ma costs every command about 18 ms of import time; nothing a parse
+# and a solve reach should import it
+NO_NUMPY_MA = """
+import sys
+import pottsim.cli
+from pottsim import parse_dimacs
+parse_dimacs(open(sys.argv[1]).read())
+assert pottsim.cli.main(["solve", sys.argv[1], "--iters", "1", "--out", sys.argv[2]]) == 0
+print("numpy.ma" in sys.modules)
+"""
 
 
 class TestParse:
@@ -73,6 +87,16 @@ class TestGraphValidation:
     def test_rejects_duplicate_edge(self):
         with pytest.raises(ValueError, match="duplicate"):
             Graph(3, [(0, 1), (1, 0)])
+        with pytest.raises(ValueError, match="duplicate"):
+            Graph(4, [(2, 3), (0, 1), (1, 2), (3, 2)])
+
+    def test_duplicate_check_leaves_numpy_ma_unimported(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-c", NO_NUMPY_MA, str(BENCH_DIR / "flat_30_60-1.col"),
+             str(tmp_path / "report.json")],
+            env={**os.environ, "PYTHONPATH": str(BENCH_DIR.parent / "src")},
+            capture_output=True, text=True, check=True)
+        assert proc.stdout.split() == ["False"]
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
