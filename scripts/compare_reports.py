@@ -13,12 +13,15 @@ deviation, or a landscape energy), the largest |difference| in those real
 values, and whether the files are byte-identical.
 
 Exits 1 if a discrete value differs, a report has a different number of
-records, or a report is missing from one side; real values only print.
+records, or a report is missing from one side; real values only print.  A
+reader that closes the output early (`| head`) ends it quietly, and the exit
+code still reports the whole comparison.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -87,18 +90,25 @@ def main(argv=None) -> int:
     parser.add_argument("new", type=Path)
     args = parser.parse_args(argv)
     names = sorted({p.name for d in (args.old, args.new) for p in d.iterdir() if p.is_file()})
-    print("| report | records | discrete equal | real bit-equal | max abs diff | bytes equal |")
-    print("|---|---|---|---|---|---|")
+    table = ["| report | records | discrete equal | real bit-equal | max abs diff | bytes equal |",
+             "|---|---|---|---|---|---|"]
     ok = True
     for name in names:
         old, new = args.old / name, args.new / name
         if not (old.is_file() and new.is_file()):
             ok = False
-            print(f"| {name} | missing in {args.new if old.is_file() else args.old} | NO | - | - | no |")
+            table.append(f"| {name} | missing in {args.new if old.is_file() else args.old} "
+                         "| NO | - | - | no |")
             continue
         same, row = compare(old, new)
         ok = ok and same
-        print(row)
+        table.append(row)
+    try:
+        print("\n".join(table), flush=True)
+    except BrokenPipeError:
+        # the reader closed early (`| head`): stdout now writes to devnull, so
+        # the flush at exit cannot raise again, and the exit code still tells
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if ok else 1
 
 

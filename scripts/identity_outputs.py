@@ -13,15 +13,20 @@ DEST it writes, per command NAME:
     logs/NAME.stderr            its stderr
     logs/NAME.exit              its exit code
 
+and logs/numpy.json, numpy's version and the CPU dispatch target of the
+kernels whose bits reach a report (np.tan in the RHS, np.arctan2 behind
+np.angle): on another target the real values differ in their last digits.
+
 To compare another tree, copy this file into that tree's `scripts/` and run
 it there too.  The trees agree when `diff -r DEST_A DEST_B` prints nothing;
 `scripts/compare_reports.py DEST_A/reports DEST_B/reports` explains a
-difference in the reports run by run.  The set took 46-48 s on a shared
+difference in the reports run by run.  The set took 27 s on a shared
 2-vCPU host (Python 3.11.7, numpy 2.4.6).
 """
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -29,13 +34,17 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 K3 = "p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n"
+# `pottsim gen --n 7 --m 10 --k 3 --seed 0`: its landscape spans several chunks
+G7 = "p edge 7 10\n" + "".join(f"e {u} {v}\n" for u, v in (
+    (1, 2), (1, 3), (1, 7), (2, 4), (2, 5), (2, 6), (2, 7), (3, 5), (3, 6), (3, 7)))
+GRAPHS = {"k3.col": K3, "g7.col": G7}
 
 
 def commands(dest: Path) -> list[tuple[str, list[str], str | None]]:
     """(name, argv, suffix of the table on stdout, or None) per command.
 
     Instance paths are relative to the repository root; `--out` files and the
-    K3 instance live under `dest`."""
+    GRAPHS instances live under `dest`."""
     flat_200 = "benchmarks/flat_200_479-1.col"
     instances = sorted(p.name for p in (ROOT / "benchmarks").glob("*.col"))
     cmds = [(f"solve_{Path(name).stem}", ["solve", f"benchmarks/{name}", "--iters", "20",
@@ -54,11 +63,26 @@ def commands(dest: Path) -> list[tuple[str, list[str], str | None]]:
                            "--format", "csv", "--out", str(dest / "reports" / "solve_csv_out.csv")],
          None),
         ("landscape_k3", ["landscape", str(dest / "k3.col")], ".csv"),
+        ("landscape_g7", ["landscape", str(dest / "g7.col"), "--n-phases", "6"], ".csv"),
         ("help", ["--help"], None),
     ]
     cmds += [(f"help_{sub}", [sub, "--help"], None)
              for sub in ("solve", "bench", "ablate", "landscape", "detune", "gen")]
     return cmds
+
+
+def numpy_provenance() -> str:
+    import numpy as np
+
+    doc = {"numpy": np.__version__}
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:  # numpy < 2.0 cannot say
+        doc["dispatch"] = None
+    else:
+        doc["dispatch"] = {name: {sig: info["current"] for sig, info in sigs.items()}
+                           for name, sigs in opt_func_info("^(tan|arctan2)$", "float64").items()}
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
 def main(argv=None) -> int:
@@ -67,7 +91,9 @@ def main(argv=None) -> int:
     dest = parser.parse_args(argv).dest.resolve()
     for sub in ("reports", "logs"):
         (dest / sub).mkdir(parents=True, exist_ok=True)
-    (dest / "k3.col").write_text(K3)
+    for name, text in GRAPHS.items():
+        (dest / name).write_text(text)
+    (dest / "logs" / "numpy.json").write_text(numpy_provenance())
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     for name, args, suffix in commands(dest):
         print(f"{name}: pottsim {' '.join(args)}", flush=True)

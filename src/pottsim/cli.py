@@ -1,21 +1,27 @@
 """Command-line front end: solve, bench, ablate, landscape, detune, gen.
 
 Every emitted report embeds the full effective configuration (gains, step,
-schedule, seeds), so rerunning with the same inputs reproduces it
-byte-for-byte; `--jobs` only changes wall time, never the result.
+schedule, seeds), so rerunning with the same inputs, numpy build and CPU
+dispatch target reproduces it byte-for-byte; `--jobs` only changes wall
+time, never the result.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import os
 import sys
 from pathlib import Path
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from .dynamics import DynamicsParams, IntegrationDivergedError, ShilSchedule
 from .graph_io import DimacsError, gen_planted, parse_dimacs, planted_sidecar, write_dimacs
 from .oracle import enumerate_landscape
 from .solver import (
+    TABLE_CHUNK_ROWS,
     AblationMode,
     detune_protocol_params,
     detune_sweep,
@@ -65,21 +71,26 @@ def _build_settings(args, base: DynamicsParams | None = None) -> tuple[DynamicsP
     return dataclasses.replace(base, **given(DynamicsParams)), ShilSchedule(**given(ShilSchedule))
 
 
-def _write_atomic(files: dict[Path, str]):
-    """Write each file through a temp file in its directory, and rename the
-    temp files over their paths only once all of them are written, so a
-    failed write leaves every existing file untouched."""
+def _write_chunks(path: Path, chunks: Iterable[str]):
+    with path.open("w") as fh:
+        fh.writelines(chunks)
+
+
+def _write_atomic(files: dict[Path, Iterable[str]]):
+    """Write each file's text chunks through a temp file in its directory, and
+    rename the temp files over their paths only once all of them are written,
+    so a failed write leaves every existing file untouched."""
     tmps: dict[Path, Path] = {}
     try:
-        for path, text in files.items():
+        for path, chunks in files.items():
             if path.exists() and not path.is_file():
                 # a pipe or device such as /dev/stdout must be written, not replaced
-                path.write_text(text)
+                _write_chunks(path, chunks)
                 continue
             tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
             tmps[tmp] = path
             try:
-                tmp.write_text(text)
+                _write_chunks(tmp, chunks)
             except OSError as exc:
                 raise OSError(f"{path}: {exc.strerror or exc}") from exc
         for tmp, path in tmps.items():
@@ -89,11 +100,20 @@ def _write_atomic(files: dict[Path, str]):
             tmp.unlink(missing_ok=True)
 
 
-def _emit(text: str, out: Path | None):
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        _write_atomic({out: text})
+def _emit(chunks: Iterable[str], out: Path | None):
+    """Write text chunks to `out`, or to stdout as they come.  A reader that
+    closes stdout early (`| head`) ends the output quietly: the command goes on
+    and exits as it would have."""
+    if out is not None:
+        _write_atomic({out: chunks})
+        return
+    try:
+        for chunk in chunks:
+            sys.stdout.write(chunk)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout now writes to devnull, so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _cmd_solve(args) -> int:
@@ -103,7 +123,7 @@ def _cmd_solve(args) -> int:
         graph, params, schedule, args.iters, args.seed,
         benchmark=args.file.stem, jobs=args.jobs, mode=getattr(args, "mode", None),
     )
-    _emit(report_json(report) if args.format == "json" else report_csv(report), args.out)
+    _emit([report_json(report) if args.format == "json" else report_csv(report)], args.out)
     return 0
 
 
@@ -127,14 +147,35 @@ def _cmd_bench(args) -> int:
 def _cmd_landscape(args) -> int:
     graph = parse_dimacs(args.file.read_text())
     scape = enumerate_landscape(graph, args.n_phases)
-    _emit(table_text({"benchmark": args.file.stem, "n_phases": args.n_phases},
-                     ("index", "energy"), enumerate(scape.energies.tolist())), args.out)
+    head = table_text({"benchmark": args.file.stem, "n_phases": args.n_phases},
+                      ("index", "energy"), ())
+    _emit(itertools.chain(head, _energy_chunks(scape.energies)), args.out)
     print(
         f"{args.file.stem}: {scape.n_states} states, min energy {scape.min_energy:.6g}, "
         f"{scape.num_global_minima} global minima, {scape.num_local_minima} local minima",
         file=sys.stderr,
     )
     return 0
+
+
+def _energy_chunks(energies: np.ndarray) -> Iterator[str]:
+    """The `index,energy` rows of sorted energies as table_text writes them,
+    TABLE_CHUNK_ROWS to a chunk.  Each run of equal energies is formatted once;
+    runs are cut where the bits change, since -0.0 and 0.0 print differently."""
+    bits = energies.view(np.int64)
+    cuts = (np.flatnonzero(bits[1:] != bits[:-1]) + 1).tolist()
+    chunk, room = [], TABLE_CHUNK_ROWS
+    for a, b in zip([0, *cuts], [*cuts, len(energies)]):
+        cell = f",{float(energies[a])}\n"
+        while a < b:
+            n = min(b - a, room)
+            chunk.append(cell.join(map(str, range(a, a + n))) + cell)
+            a, room = a + n, room - n
+            if room == 0:
+                yield "".join(chunk)
+                chunk, room = [], TABLE_CHUNK_ROWS
+    if chunk:
+        yield "".join(chunk)
 
 
 def _cmd_detune(args) -> int:
@@ -159,8 +200,8 @@ def _cmd_gen(args) -> int:
                          "give the graph another suffix, such as .col")
     instance = gen_planted(args.n, args.m, args.k, args.seed)
     _write_atomic({
-        args.out: write_dimacs(instance.graph),
-        sidecar: planted_sidecar(instance) + "\n",
+        args.out: [write_dimacs(instance.graph)],
+        sidecar: [planted_sidecar(instance) + "\n"],
     })
     print(
         f"wrote {args.out} ({args.n} vertices, {args.m} edges, "

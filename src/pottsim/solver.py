@@ -13,9 +13,9 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -39,6 +39,8 @@ from .potts import (
 )
 
 HISTOGRAM_BINS = 100
+# Lines per text chunk of a table (table_text); a smaller table is one chunk.
+TABLE_CHUNK_ROWS = 65536
 # Restarts per lockstep block (dynamics.integrate_block), on every graph.  The
 # rows of a block share the per-call overhead of the RHS.  CPU seconds of
 # solver._run_task (two runs each, 2 vCPUs on a shared host): 40 restarts on
@@ -56,6 +58,17 @@ LOCKSTEP_ROWS = 20
 DETUNE_SHIL_GAIN = 60.0
 DETUNE_DT = 0.008
 DETUNE_T_MAX = 40.0
+
+
+def __getattr__(name: str):
+    # PEP 562: the process-pool stack (multiprocessing, socket, queue ...) is
+    # imported when a batch first opens a pool, so a serial command never loads it
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class AblationMode(str, enum.Enum):
@@ -188,7 +201,8 @@ def _run_batch(task, shared: tuple, rows: Sequence, jobs: int) -> list:
     if workers == 1:
         results = [task(b) for b in blocks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # looked up on the module at call time, so a patched class is the one opened
+        with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(task, blocks))
     return [r for block in results for r in block]
 
@@ -289,17 +303,24 @@ def report_json(report: SolveReport) -> str:
 
 def report_csv(report: SolveReport) -> str:
     """One row per run, with the configuration embedded as a comment line."""
-    return table_text({"benchmark": report.benchmark, "params": report.params},
-                      [f.name for f in dataclasses.fields(RunRecord)],
-                      [dataclasses.astuple(r) for r in report.runs])
+    return "".join(table_text({"benchmark": report.benchmark, "params": report.params},
+                              [f.name for f in dataclasses.fields(RunRecord)],
+                              [dataclasses.astuple(r) for r in report.runs]))
 
 
-def table_text(head: dict, columns: Sequence[str], rows, fmt: str = "csv") -> str:
-    """Every pottsim table, from tuples of Python scalars.  CSV: `# ` + `head` as
-    JSON, the column names, one line per row of str() cells (a float's repr;
-    None is empty).  JSON: `head`'s keys and "rows", one {column: value} each."""
+def table_text(head: dict, columns: Sequence[str], rows, fmt: str = "csv") -> Iterator[str]:
+    """Every pottsim table, from tuples of Python scalars, as text chunks.  CSV:
+    `# ` + `head` as JSON, the column names, one line per row of str() cells (a
+    float's repr; None is empty), TABLE_CHUNK_ROWS lines to a chunk.  JSON, one
+    chunk: `head`'s keys and "rows", one {column: value} each."""
     if fmt == "json":
-        return json.dumps({**head, "rows": [dict(zip(columns, row)) for row in rows]}, indent=2) + "\n"
+        yield json.dumps({**head, "rows": [dict(zip(columns, row)) for row in rows]}, indent=2) + "\n"
+        return
     lines = ["# " + json.dumps(head), ",".join(columns)]
-    lines += [",".join("" if x is None else str(x) for x in row) for row in rows]
-    return "\n".join(lines) + "\n"
+    for row in rows:
+        lines.append(",".join("" if x is None else str(x) for x in row))
+        if len(lines) == TABLE_CHUNK_ROWS:
+            yield "\n".join(lines) + "\n"
+            lines = []
+    if lines:
+        yield "\n".join(lines) + "\n"

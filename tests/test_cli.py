@@ -1,18 +1,22 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pottsim import DynamicsParams, ShilSchedule, gen_planted, parse_dimacs, solver, write_dimacs
+from pottsim import (DynamicsParams, ShilSchedule, cli, gen_planted, parse_dimacs, solver,
+                     write_dimacs)
 from pottsim.potts import Coloring, accuracy
 from pottsim.cli import main
-from pottsim.solver import detune_protocol_params, effective_config
+from pottsim.solver import detune_protocol_params, effective_config, table_text
 
 from conftest import BENCH_DIR, random_colorable_graph
 from helpers import edge_set
@@ -33,10 +37,49 @@ def k3_col(tmp_path):
     return path
 
 
+@pytest.fixture
+def seven_col(tmp_path):
+    # `gen --n 7 --m 10 --k 3 --seed 0`; at --n-phases 7 its landscape has
+    # 823 543 rows, at 10 the 10^7 rows of the enumeration guard
+    path = tmp_path / "g7.col"
+    path.write_text("p edge 7 10\n" + "".join(
+        f"e {u} {v}\n" for u, v in ((1, 2), (1, 3), (1, 7), (2, 4), (2, 5), (2, 6), (2, 7),
+                                    (3, 5), (3, 6), (3, 7))))
+    return path
+
+
+def pottsim_process(*argv: str, code: str = "from pottsim.cli import entrypoint; entrypoint()",
+                    **popen) -> subprocess.Popen:
+    """A fresh Python process running `code` with argv, on this tree's src/."""
+    env = {**os.environ, "PYTHONPATH": str(BENCH_DIR.parent / "src")}
+    return subprocess.Popen([sys.executable, "-c", code, *map(str, argv)], env=env, **popen)
+
+
 FAST_FLAGS = ["--iters", "3", "--seed", "0", "--t-max", "15"]
 
 
+POOL_MODULES = """
+import sys
+from pottsim.cli import main
+assert main(sys.argv[1:]) == 0
+print(sorted({"multiprocessing", "concurrent.futures.process"} & set(sys.modules)))
+"""
+
+
 class TestSolveCommand:
+    def test_serial_solve_never_imports_the_pool(self, tiny_col, tmp_path):
+        serial, pooled = tmp_path / "jobs1.json", tmp_path / "jobs2.json"
+        proc = pottsim_process("solve", tiny_col, *FAST_FLAGS, "--jobs", "1", "--out", serial,
+                               code=POOL_MODULES, stdout=subprocess.PIPE, text=True)
+        assert proc.communicate()[0] == "[]\n"
+        assert proc.returncode == 0
+        # a fresh process imports the pool for its first batch, to the same bytes
+        proc = pottsim_process("solve", tiny_col, *FAST_FLAGS, "--jobs", "2", "--out", pooled,
+                               code=POOL_MODULES, stdout=subprocess.PIPE, text=True)
+        assert proc.communicate()[0] == "['concurrent.futures.process', 'multiprocessing']\n"
+        assert proc.returncode == 0
+        assert pooled.read_bytes() == serial.read_bytes()
+
     def test_writes_json_report(self, tiny_col, tmp_path):
         out = tmp_path / "r.json"
         rc = main(["solve", str(tiny_col), *FAST_FLAGS, "--out", str(out)])
@@ -211,6 +254,64 @@ class TestLandscapeCommand:
         assert len(lines) == 29  # config + header + 27 states
         assert float(lines[2].split(",")[1]) == pytest.approx(-1.5)
 
+    def test_energy_chunks_are_the_table_rows(self, monkeypatch):
+        # runs of equal energies cross chunk ends; -0.0 and 0.0 are one value
+        # to the sort but print differently
+        energies = np.sort(np.repeat([-1.5, -0.0, 0.0, 0.1, 2.0], [9, 3, 2, 1, 20]))
+        monkeypatch.setattr(cli, "TABLE_CHUNK_ROWS", 7)
+        chunks = list(cli._energy_chunks(energies))
+        assert [c.count("\n") for c in chunks] == [7, 7, 7, 7, 7]
+        head, = table_text({}, ("index", "energy"), ())
+        table, = table_text({}, ("index", "energy"), enumerate(energies.tolist()))
+        assert head + "".join(chunks) == table
+
+    def test_guard_size_streams_in_bounded_memory(self, seven_col):
+        # 10^7 rows (266 MB) into a digest: the same bytes as the table built
+        # as one string, at a peak RSS near the enumeration's own (about 135 MB)
+        code = ("import resource, sys\nfrom pottsim.cli import main\nrc = main(sys.argv[1:])\n"
+                "sys.stdout.flush()\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+                "sys.exit(rc)")
+        proc = pottsim_process("landscape", seven_col, "--n-phases", "10", code=code,
+                               stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        digest = hashlib.sha256()
+        for block in iter(lambda: proc.stdout.read(1 << 20), b""):
+            digest.update(block)
+        err = proc.stderr.read().decode()
+        assert proc.wait() == 0, err
+        assert digest.hexdigest() == \
+            "7570f46742723583f1d034eb1b8aa09db8616fcca13598c010c3be5ff74ad959"
+        peak_mb = int(err.split()[-1]) / 1024
+        assert peak_mb < 400
+
+    def test_failed_streamed_write_leaves_no_file(self, seven_col, capsys, monkeypatch):
+        out = seven_col.parent / "l.csv"
+        real_write = cli._write_chunks
+
+        def fail_after_one_chunk(path, chunks):
+            def first_chunk_then_full():
+                yield next(iter(chunks))
+                raise OSError("no space left on device")
+            real_write(path, first_chunk_then_full())
+
+        monkeypatch.setattr(cli, "_write_chunks", fail_after_one_chunk)
+        rc = main(["landscape", str(seven_col), "--n-phases", "7", "--out", str(out)])
+        assert rc == 1
+        assert f"error: {out}: no space left on device" in capsys.readouterr().err
+        assert sorted(p.name for p in seven_col.parent.iterdir()) == ["g7.col"]
+
+    def test_reader_closing_early_ends_quietly(self, seven_col):
+        # the table is written a chunk at a time, so later chunks meet the
+        # closed pipe; the command exits 0 and prints no error or traceback
+        proc = pottsim_process("landscape", seven_col, "--n-phases", "7",
+                               stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline() == b'# {"benchmark": "g7", "n_phases": 7}\n'
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait() == 0
+        assert err == ("g7: 823543 states, min energy -7.48523, 112 global minima, "
+                       "196 local minima\n")
+
     @pytest.mark.parametrize("n_phases", ["0", "1", "-2"])
     def test_fewer_than_two_phases_rejected(self, k3_col, tmp_path, capsys, n_phases):
         out = tmp_path / "l.csv"
@@ -350,14 +451,14 @@ class TestGenCommand:
         sidecar = out.with_suffix(".json")
         out.write_bytes(b"old graph\n")
         sidecar.write_bytes(b"old sidecar\n")
-        real_write_text = Path.write_text
+        real_write = cli._write_chunks
 
-        def failing_sidecar(path, text):
+        def failing_sidecar(path, chunks):
             if path.name.startswith(f".{sidecar.name}."):
                 raise OSError("no space left on device")
-            return real_write_text(path, text)
+            return real_write(path, chunks)
 
-        monkeypatch.setattr(Path, "write_text", failing_sidecar)
+        monkeypatch.setattr(cli, "_write_chunks", failing_sidecar)
         rc = main(["gen", "--n", "40", "--m", "80", "--seed", "5", "--out", str(out)])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
@@ -473,16 +574,16 @@ class TestErrors:
     def test_failed_write_keeps_existing_out_file(self, tiny_col, tmp_path, capsys, monkeypatch):
         out = tmp_path / "r.json"
         out.write_text("old report\n")
-        real_write_text = Path.write_text
+        real_write = cli._write_chunks
 
-        def partial_write(path, text):
-            real_write_text(path, text[:10])
+        def partial_write(path, chunks):
+            real_write(path, ["".join(chunks)[:10]])
             raise OSError("no space left on device")
 
         def failed_replace(src, dst):
             raise OSError("rename failed")
 
-        for owner, attr, fail in ((Path, "write_text", partial_write),
+        for owner, attr, fail in ((cli, "_write_chunks", partial_write),
                                   (os, "replace", failed_replace)):
             with monkeypatch.context() as m:
                 m.setattr(owner, attr, fail)

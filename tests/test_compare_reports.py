@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -61,6 +63,21 @@ def test_changed_discrete_value_fails(report_dirs, capsys, field, change):
     edit_runs(new / "solve.json", field, change)
     assert compare_reports.main([str(old), str(new)]) == 1
     assert "| solve.json | 3 | NO |" in capsys.readouterr().out
+
+
+def test_reader_closing_early_ends_quietly(report_dirs):
+    # rows enough to fill the pipe, so that writes meet the closed reader
+    old, new = report_dirs
+    sweep = (old / "detune.csv").read_text()
+    for i in range(1000):
+        for d in (old, new):
+            (d / f"detune_{i:04d}_{'x' * 80}.csv").write_text(sweep)
+    proc = subprocess.Popen([sys.executable, str(SCRIPT), str(old), str(new)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"| report | records |")
+    proc.stdout.close()
+    assert proc.stderr.read() == b""
+    assert proc.wait() == 0  # every report still compared equal
 
 
 def test_missing_report_fails(report_dirs, capsys):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -59,10 +60,32 @@ def run_case(argv: list[str], out: Path) -> list:
     return json.loads(out.read_text())["runs"]
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_runs_match_the_recorded_results(name, tmp_path):
-    want = json.loads(GOLDEN.read_text())["cases"][name]
-    got = run_case(CASES[name], tmp_path / "out")
+def dispatch_target() -> str | None:
+    """The kernel numpy runs for float64 tan (the RHS's one transcendental
+    pass), or None where numpy cannot say (before numpy 2.0)."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return None
+    return next(iter(opt_func_info("^tan$", "float64")["tan"].values()))["current"]
+
+
+# Switches numpy, in the process it is given to, from its AVX-512 (X86_V4)
+# kernels to the next ones it has (for tan, its baseline).  There np.tan and
+# np.angle give other bits, and reports differ in their last digits.
+OTHER_DISPATCH = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+OTHER_DISPATCH_CHILD = """
+import json, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from test_golden_runs import CASES, dispatch_target, run_case
+cases = {name: run_case(argv, Path(sys.argv[2])) for name, argv in CASES.items()}
+print(json.dumps({"target": dispatch_target(), "cases": cases}))
+"""
+
+
+def check_case(name: str, got: list, want: list):
+    """Discrete values equal, real values within TOLERANCE."""
     assert len(got) == len(want)
     if CASES[name][0] == "detune":
         for (d_got, dev_got), (d_want, dev_want) in zip(got, want):
@@ -73,6 +96,30 @@ def test_runs_match_the_recorded_results(name, tmp_path):
         assert (g["seed"], g["accuracy"], g["delta_energy"], g["cycles"]) == \
             (w["seed"], w["accuracy"], w["delta_energy"], w["cycles"])
         assert g["vector_energy"] == pytest.approx(w["vector_energy"], rel=0, abs=TOLERANCE)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_runs_match_the_recorded_results(name, tmp_path):
+    want = json.loads(GOLDEN.read_text())["cases"][name]
+    check_case(name, run_case(CASES[name], tmp_path / "out"), want)
+
+
+def test_runs_match_on_another_cpu_dispatch_target(tmp_path):
+    # reports are byte-identical on one numpy build and dispatch target; on
+    # another, the discrete values must still agree and the real ones within
+    # roundoff
+    if dispatch_target() != "X86_V4":
+        pytest.skip(f"numpy runs tan on {dispatch_target()}, not X86_V4: disabling X86_V4 "
+                    "would leave the same kernels, so this test checks nothing on this host")
+    proc = subprocess.run(
+        [sys.executable, "-c", OTHER_DISPATCH_CHILD, str(Path(__file__).parent), str(tmp_path / "out")],
+        env={**os.environ, **OTHER_DISPATCH, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, check=True)
+    doc = json.loads(proc.stdout.splitlines()[-1])
+    assert doc["target"] not in (None, "X86_V4")
+    want = json.loads(GOLDEN.read_text())["cases"]
+    for name in CASES:
+        check_case(name, doc["cases"][name], want[name])
 
 
 if __name__ == "__main__":

@@ -25,6 +25,8 @@ def test_every_command_parses(tmp_path, capsys):
             continue
         args = build_parser().parse_args(argv)
         path = getattr(args, "file", None) or getattr(args, "directory", None)
-        if path is not None and path != tmp_path / "k3.col":
+        if path is not None and path.parent == tmp_path:  # written under DEST by the script
+            assert path.name in identity_outputs.GRAPHS, name
+        elif path is not None:
             assert (identity_outputs.ROOT / path).exists(), name
     capsys.readouterr()

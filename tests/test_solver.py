@@ -23,6 +23,7 @@ from pottsim.solver import (
     effective_config,
     report_csv,
     report_json,
+    table_text,
 )
 
 from conftest import random_colorable_graph
@@ -304,6 +305,18 @@ class TestReports:
         assert lines[0].startswith("# ")
         assert lines[1] == "seed,accuracy,delta_energy,vector_energy,cycles"
         assert len(lines) == 2 + 5
+
+    def test_csv_table_comes_in_bounded_chunks(self, report, monkeypatch):
+        whole = report_csv(report)
+        head = {"benchmark": report.benchmark, "params": report.params}
+        columns = [f.name for f in dataclasses.fields(solver.RunRecord)]
+        rows = [dataclasses.astuple(r) for r in report.runs]
+        monkeypatch.setattr(solver, "TABLE_CHUNK_ROWS", 3)
+        chunks = list(table_text(head, columns, rows))
+        assert [c.count("\n") for c in chunks] == [3, 3, 1]  # 2 header lines + 5 rows
+        assert "".join(chunks) == whole
+        monkeypatch.setattr(solver, "TABLE_CHUNK_ROWS", 7)
+        assert list(table_text(head, columns, rows)) == [whole]
 
     def test_config_round_trip(self, report):
         cfg = report.params
