@@ -13,9 +13,12 @@ DEST it writes, per command NAME:
     logs/NAME.stderr            its stderr
     logs/NAME.exit              its exit code
 
-and logs/numpy.json, numpy's version and the CPU dispatch target of the
-kernels whose bits reach a report (np.tan in the RHS, np.arctan2 behind
-np.angle): on another target the real values differ in their last digits.
+with DEST's own path written as the literal `DEST`, so that two trees run
+into different DESTs compare equal.  `gen` writes its instance and sidecar
+under gen/, not reports/, since a sidecar is no table.  logs/numpy.json
+holds numpy's version and the CPU dispatch target of the kernels whose bits
+reach a report (np.tan in the RHS, np.arctan2 behind np.angle): on another
+target the real values differ in their last digits.
 
 To compare another tree, copy this file into that tree's `scripts/` and run
 it there too.  The trees agree when `diff -r DEST_A DEST_B` prints nothing;
@@ -64,6 +67,8 @@ def commands(dest: Path) -> list[tuple[str, list[str], str | None]]:
          None),
         ("landscape_k3", ["landscape", str(dest / "k3.col")], ".csv"),
         ("landscape_g7", ["landscape", str(dest / "g7.col"), "--n-phases", "6"], ".csv"),
+        ("gen", ["gen", "--n", "300", "--m", "700", "--k", "4", "--seed", "3",
+                 "--out", str(dest / "gen" / "planted.col")], None),
         ("help", ["--help"], None),
     ]
     cmds += [(f"help_{sub}", [sub, "--help"], None)
@@ -89,7 +94,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("dest", type=Path)
     dest = parser.parse_args(argv).dest.resolve()
-    for sub in ("reports", "logs"):
+    for sub in ("reports", "logs", "gen"):
         (dest / sub).mkdir(parents=True, exist_ok=True)
     for name, text in GRAPHS.items():
         (dest / name).write_text(text)
@@ -100,8 +105,8 @@ def main(argv=None) -> int:
         proc = subprocess.run([sys.executable, "-m", "pottsim.cli", *args], cwd=ROOT, env=env,
                               capture_output=True)
         stdout = dest / "reports" / f"{name}{suffix}" if suffix else dest / "logs" / f"{name}.stdout"
-        stdout.write_bytes(proc.stdout)
-        (dest / "logs" / f"{name}.stderr").write_bytes(proc.stderr)
+        stdout.write_bytes(proc.stdout.replace(bytes(dest), b"DEST"))
+        (dest / "logs" / f"{name}.stderr").write_bytes(proc.stderr.replace(bytes(dest), b"DEST"))
         (dest / "logs" / f"{name}.exit").write_text(f"{proc.returncode}\n")
     return 0
 

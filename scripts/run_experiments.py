@@ -8,10 +8,10 @@ Produces:
   results/detune_sweep.csv       mean lattice deviation vs SHIL detuning rate
   results/landscape_k3.csv       a small exhaustive landscape for plotting
 
-Each JSON report carries its accuracy histogram.  At the default 100
-iterations and --jobs 2 the whole run took 44-48 s (two runs on a shared
-2-vCPU Intel Xeon host, Python 3.11.7, numpy 2.4.6); use --iters 20 for a
-quicker pass.
+Each ablate report carries its accuracy histogram, as any solve report does;
+bench_summary.json is a table without one.  At the default 100 iterations
+and --jobs 2 the whole run took 44-48 s (two runs on a shared 2-vCPU Intel
+Xeon host, Python 3.11.7, numpy 2.4.6); use --iters 20 for a quicker pass.
 """
 from __future__ import annotations
 

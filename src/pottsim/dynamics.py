@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .graph_io import Graph
-from .potts import Coloring, PhaseState, TWO_PI, lyapunov, quantize, wrap_phases
+from .potts import TWO_PI, lyapunov, quantize, wrap_phases
 
 # Time between checkpoints (cycles), rounded to a whole number of
 # steps.
@@ -110,13 +110,14 @@ class ShilSchedule:
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """A block of runs at a checkpoint: row r of `state` and `coloring` is
-    run r, with entry r of the `time`, `lyapunov` and `max_rate` arrays."""
+    """A block of runs at a checkpoint: row r of the (rows, n) `phases` and
+    `spins` arrays is run r, with entry r of the `time`, `lyapunov` and
+    `max_rate` arrays."""
 
     time: np.ndarray
-    state: PhaseState
+    phases: np.ndarray
     lyapunov: np.ndarray
-    coloring: Coloring
+    spins: np.ndarray
     max_rate: np.ndarray
 
 
@@ -206,14 +207,14 @@ def _rhs_core(
     return out
 
 
-def random_init(n: int, seed: int) -> PhaseState:
+def random_init(n: int, seed: int) -> np.ndarray:
     """Uniform random phases on [0, 2*pi), deterministic per seed."""
     if n < 1:
         raise ValueError("need at least one vertex")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng([seed, 0])
-    return PhaseState(rng.random(n) * TWO_PI)
+    return rng.random(n) * TWO_PI
 
 
 def _settle_step(counts: Optional[np.ndarray], prev_spins: Optional[np.ndarray], spins: np.ndarray,
@@ -235,7 +236,7 @@ def _settle_step(counts: Optional[np.ndarray], prev_spins: Optional[np.ndarray],
 
 def integrate_block(
     graph: Graph,
-    inits: Sequence[PhaseState],
+    inits: Sequence[np.ndarray],
     params: DynamicsParams,
     schedule: ShilSchedule,
     seeds: Sequence[int],
@@ -250,9 +251,11 @@ def integrate_block(
     row at ``params.detuning``).  The rows form the columns of one (n, rows)
     phase array, so each step and checkpoint is a fixed set of whole-array
     passes, and each row's every step has the bits it has when the row runs
-    alone.  Noise of std ``noise_amplitude * sqrt(dt)`` per step, when
-    enabled, comes from a stream derived from the row's seed.  Phases are wrapped to [0, 2*pi)
-    after every step (`potts.wrap_phases`).  Checkpoints (the Lyapunov value,
+    alone.  The initial phases are taken mod 2*pi, with np.mod's bits, and a
+    non-finite one raises ValueError.  Noise of std ``noise_amplitude *
+    sqrt(dt)`` per step, when enabled, comes from a stream derived from the
+    row's seed.  Phases are wrapped to [0, 2*pi) after every step
+    (`potts.wrap_phases`).  Checkpoints (the Lyapunov value,
     the rounded coloring and max |dtheta/dt| of every running row) are taken
     every round(CHECKPOINT_STRIDE / dt) steps and at the last step.
 
@@ -273,7 +276,12 @@ def integrate_block(
     if not len(inits) == len(rates) == len(seeds) >= 1:
         raise ValueError("a block needs one init, seed and detuning per row")
     if any(len(init) != n for init in inits):
-        raise ValueError("initial state length does not match graph")
+        raise ValueError("initial phases length does not match graph")
+    # one run per column; + 0.0 turns -0.0 into +0.0, as np.mod does, and
+    # from here every step keeps the phases canonical (see wrap_phases)
+    theta = np.stack(inits, axis=1, dtype=np.float64) + 0.0
+    if not wrap_phases(theta):
+        raise ValueError("non-finite initial phase")
     edges = _BlockEdges(graph, len(seeds))
     num_edges = graph.num_edges
     kc, ks_max, nph, dt = params.coupling_gain, params.shil_gain_max, params.n_phases, params.dt
@@ -298,7 +306,6 @@ def integrate_block(
     # one rate per running row, None if no row is detuned (only fixed
     # gradient flows leave a block early, so a detuned row stays to the end)
     detuning = rates if rates.any() else None
-    theta = np.stack([init.phases for init in inits], axis=1)
     # the last checkpoint's time, and per running row its spins, settle count
     # and Lyapunov value
     t_prev = spins = counts = lyap = None
@@ -318,18 +325,19 @@ def integrate_block(
         for i in range(steps + 1):
             t = i * dt
             if i % ckpt_every == 0 or i == steps:
-                # k1 is the velocity at this checkpoint; the state holds one
-                # run per row, C-contiguous, so row sums have their lone bits
-                state = PhaseState(theta.T)
+                # k1 is the velocity at this checkpoint; the phases are a copy
+                # (the steps update theta in place) with one run per row,
+                # C-contiguous, so row sums have their lone bits
+                phases = theta.T.copy()
                 max_rate = np.abs(k1).max(axis=0)
-                prev_spins, spins = spins, quantize(state, nph).spins
+                prev_spins, spins = spins, quantize(phases, nph)
                 counts, settled = _settle_step(counts, prev_spins, spins, max_rate, t,
                                                schedule.ramp_end)
                 settled &= np.isnan(settled_at[rows])
                 settled_at[rows[settled]] = t
                 # every running row ends at the last step
                 ends = settled & exits[rows] | (i == steps)
-                lyap_prev, lyap = lyap, lyapunov(graph, state, kc, ks_max * schedule.envelope(t), nph)
+                lyap_prev, lyap = lyap, lyapunov(graph, phases, kc, ks_max * schedule.envelope(t), nph)
                 # a flow's Lyapunov value is checked against the last
                 # checkpoint's while the envelope is constant
                 if t_prev is not None and constant(t_prev, t):
@@ -342,11 +350,10 @@ def integrate_block(
                             "cycles (reduce dt or the gains)"
                         )
                 if record is not None:
-                    record(rows, Checkpoint(np.full(len(rows), t), state, lyap,
-                                            Coloring(spins, nph), max_rate))
+                    record(rows, Checkpoint(np.full(len(rows), t), phases, lyap, spins, max_rate))
                 done = rows[ends]
                 end_time[done], end_lyap[done], end_rate[done] = t, lyap[ends], max_rate[ends]
-                end_phases[done], end_spins[done] = state.phases[ends], spins[ends]
+                end_phases[done], end_spins[done] = phases[ends], spins[ends]
                 t_prev = t
                 if ends.all():
                     break
@@ -377,5 +384,4 @@ def integrate_block(
                 )
             # the next step's k1 is also the velocity a checkpoint there reports
             k1 = f(theta, (i + 1) * dt)
-    return Checkpoint(end_time, PhaseState(end_phases), end_lyap, Coloring(end_spins, nph),
-                      end_rate), settled_at
+    return Checkpoint(end_time, end_phases, end_lyap, end_spins, end_rate), settled_at

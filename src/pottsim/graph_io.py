@@ -10,8 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .potts import Coloring
-
 
 class DimacsError(ValueError):
     """Raised when a DIMACS .col stream cannot be parsed."""
@@ -57,10 +55,11 @@ class Graph:
 
 @dataclass(frozen=True)
 class PlantedInstance:
-    """Randomly generated graph plus the hidden proper coloring it was built around."""
+    """Randomly generated graph plus the hidden proper coloring it was built
+    around: `planted` holds one spin in {0, ..., k - 1} per vertex."""
 
     graph: Graph
-    planted: Coloring
+    planted: np.ndarray
     k: int
     seed: int
 
@@ -184,7 +183,7 @@ def gen_planted(n: int, m: int, k: int, seed: int) -> PlantedInstance:
 
     edges = np.array(sorted(chosen), dtype=np.int64).reshape(-1, 2)
     graph = Graph(n, edges)
-    return PlantedInstance(graph, Coloring(colors, k), k, seed)
+    return PlantedInstance(graph, colors, k, seed)
 
 
 def planted_sidecar(instance: PlantedInstance) -> str:
@@ -195,6 +194,6 @@ def planted_sidecar(instance: PlantedInstance) -> str:
             "m": instance.graph.num_edges,
             "k": instance.k,
             "seed": instance.seed,
-            "planted": instance.planted.spins.tolist(),
+            "planted": instance.planted.tolist(),
         }
     )

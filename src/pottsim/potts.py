@@ -1,15 +1,14 @@
 """Potts energy functions, phase quantization, and the coloring-quality metric.
 
 A configuration of the machine lives in one of two spaces: discrete spins
-(`Coloring`, one of N values per vertex) or continuous oscillator phases
-(`PhaseState`, radians in [0, 2*pi)).  The functions here evaluate the
-discrete Potts energy, its continuous (vector) relaxation, and the global
-Lyapunov function that the phase dynamics descend.  Every edge is one unit
-repulsive coupling.
+(an int array, one of N values per vertex) or continuous oscillator phases
+(a float array, radians in [0, 2*pi)); a 2-D array holds a block of them,
+one per row.  The functions here evaluate the discrete Potts energy, its
+continuous (vector) relaxation, and the global Lyapunov function that the
+phase dynamics descend.  Every edge is one unit repulsive coupling.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -43,45 +42,6 @@ def wrap_phases(theta: np.ndarray) -> bool:
     return bool(np.isfinite(theta).all())
 
 
-@dataclass(frozen=True)
-class Coloring:
-    """Discrete spin assignment: spins[i] in {0, ..., num_phases - 1}; a 2-D
-    array holds a block of colorings, one per row."""
-
-    spins: np.ndarray
-    num_phases: int
-
-    def __post_init__(self):
-        spins = np.asarray(self.spins, dtype=np.int64)
-        object.__setattr__(self, "spins", spins)
-        if self.num_phases < 2:
-            raise ValueError(f"num_phases must be >= 2, got {self.num_phases}")
-        if spins.size and (spins.min() < 0 or spins.max() >= self.num_phases):
-            raise ValueError("spin value outside {0, ..., num_phases - 1}")
-
-    def __len__(self) -> int:
-        return len(self.spins)
-
-
-@dataclass(frozen=True)
-class PhaseState:
-    """Continuous oscillator phases, stored canonically in [0, 2*pi); a 2-D
-    array holds a block of runs, one per row."""
-
-    phases: np.ndarray
-
-    def __post_init__(self):
-        # a C-contiguous copy (so a block's row sums have each row's lone
-        # bits) with -0.0 as +0.0, which np.mod gives and wrap_phases keeps
-        phases = np.add(np.asarray(self.phases, dtype=np.float64), 0.0, order="C")
-        if not wrap_phases(phases):
-            raise ValueError("non-finite phase")
-        object.__setattr__(self, "phases", phases)
-
-    def __len__(self) -> int:
-        return len(self.phases)
-
-
 def _check_length(graph: Graph, n: int, what: str):
     if n != graph.num_vertices:
         raise ValueError(
@@ -90,55 +50,49 @@ def _check_length(graph: Graph, n: int, what: str):
 
 
 def _row_sums(x: np.ndarray, dtype=None):
-    """Sums over the last axis: a float for a vector, else one per row."""
-    sums = np.sum(x, axis=-1, dtype=dtype)
+    """Sums over the last axis: a float for a vector, else one per row, each
+    taken over a C-contiguous row so that it has the bits of its row alone."""
+    sums = np.sum(np.ascontiguousarray(x), axis=-1, dtype=dtype)
     return float(sums) if x.ndim == 1 else sums
 
 
-def delta_energy(graph: Graph, coloring: Coloring) -> float:
+def delta_energy(graph: Graph, spins: np.ndarray) -> float:
     """Potts energy: the number of conflicting (equal-color) edges (per row
     for a block of colorings)."""
-    s = coloring.spins
-    _check_length(graph, s.shape[-1], "coloring")
+    s = np.asarray(spins)
+    _check_length(graph, s.shape[-1], "spins")
     u, v = graph.edge_arrays()
     return _row_sums(np.take(s, u, axis=-1) == np.take(s, v, axis=-1), float)
 
 
-def vector_energy(graph: Graph, state: PhaseState) -> float:
+def vector_energy(graph: Graph, phases: np.ndarray) -> float:
     """Continuous relaxation: sum of cos(theta_i - theta_j) over edges (per
     row for a block of runs)."""
-    th = state.phases
-    _check_length(graph, th.shape[-1], "state")
+    th = np.asarray(phases, dtype=np.float64)
+    _check_length(graph, th.shape[-1], "phases")
     u, v = graph.edge_arrays()
-    # np.take keeps a block C-contiguous (th[..., u] would be F-ordered), so
-    # each row is summed with the bits of its sum alone
     return _row_sums(np.cos(np.take(th, u, axis=-1) - np.take(th, v, axis=-1)))
 
 
-def lattice_state(coloring: Coloring) -> PhaseState:
-    """PhaseState with every vertex at its spin's lattice phase."""
-    return PhaseState(TWO_PI * coloring.spins / coloring.num_phases)
-
-
-def quantize(state: PhaseState, n_phases: int) -> Coloring:
-    """Round each phase to the nearest of the N equally spaced lattice phases.
+def quantize(phases: np.ndarray, n_phases: int) -> np.ndarray:
+    """Round each phase to the nearest of the N equally spaced lattice phases;
+    returns the int64 spins.
 
     Exact ties (circular distance pi/N to both neighbours) break toward the
     lower spin index.
     """
-    x = (state.phases * n_phases) / TWO_PI
+    x = (np.asarray(phases, dtype=np.float64) * n_phases) / TWO_PI
     lo = np.floor(x)
     frac = x - lo
     # a tie's lower index is lo, bar the wrap from N - 1 to 0
     up = (frac > 0.5) | ((frac == 0.5) & (lo == n_phases - 1))
-    spins = (lo + up).astype(np.int64) % n_phases
-    return Coloring(spins, n_phases)
+    return (lo + up).astype(np.int64) % n_phases
 
 
-def accuracy(graph: Graph, coloring: Coloring) -> float:
+def accuracy(graph: Graph, spins: np.ndarray) -> float:
     """Fraction of edges whose endpoints get different colors (1.0 if no
     edges; per row for a block of colorings)."""
-    conflicts = delta_energy(graph, coloring)
+    conflicts = delta_energy(graph, spins)
     m = graph.num_edges
     # without edges the conflict count is 0, so conflicts + 1.0 is 1.0 per row
     return (m - conflicts) / m if m else conflicts + 1.0
@@ -146,7 +100,7 @@ def accuracy(graph: Graph, coloring: Coloring) -> float:
 
 def lyapunov(
     graph: Graph,
-    state: PhaseState,
+    phases: np.ndarray,
     coupling_gain: float,
     shil_gain: float,
     n_phases: int,
@@ -162,11 +116,13 @@ def lyapunov(
     """
     if coupling_gain < 0 or shil_gain < 0:
         raise ValueError("gains must be non-negative")
-    well = _row_sums(np.cos(n_phases * state.phases))
-    return coupling_gain * vector_energy(graph, state) - (shil_gain / n_phases) * well
+    # an array, so that a list is scaled by n_phases, not repeated
+    phases = np.asarray(phases, dtype=np.float64)
+    well = _row_sums(np.cos(n_phases * phases))
+    return coupling_gain * vector_energy(graph, phases) - (shil_gain / n_phases) * well
 
 
-def lattice_deviation(state: PhaseState, n_phases: int,
+def lattice_deviation(phases: np.ndarray, n_phases: int,
                       offset: float | np.ndarray = 0.0) -> np.ndarray:
     """Circular distance (radians) of each phase to its nearest lattice phase.
 
@@ -175,5 +131,5 @@ def lattice_deviation(state: PhaseState, n_phases: int,
     defines its target phases at a given time.  An array broadcasts against
     the phases, so a (rows, 1) column gives each row of a block its own.
     """
-    resid = np.angle(np.exp(1j * (n_phases * state.phases - offset)))
+    resid = np.angle(np.exp(1j * (n_phases * np.asarray(phases, dtype=np.float64) - offset)))
     return np.abs(resid) / n_phases

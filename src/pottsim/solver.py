@@ -28,15 +28,7 @@ from .dynamics import (
     random_init,
 )
 from .graph_io import Graph
-from .potts import (
-    PhaseState,
-    accuracy,
-    delta_energy,
-    lattice_deviation,
-    lattice_state,
-    quantize,
-    vector_energy,
-)
+from .potts import TWO_PI, accuracy, delta_energy, lattice_deviation, quantize, vector_energy
 
 HISTOGRAM_BINS = 100
 # Lines per text chunk of a table (table_text); a smaller table is one chunk.
@@ -141,13 +133,14 @@ def _run_task(block: tuple) -> list[RunRecord]:
     (graph, params, schedule, mode), seeds = block
     inits = [random_init(graph.num_vertices, seed) for seed in seeds]
     if mode is AblationMode.NONE:
-        coloring = quantize(PhaseState(np.stack([init.phases for init in inits])), params.n_phases)
-        state, settled_at = lattice_state(coloring), np.full(len(seeds), np.nan)
+        # each spin's lattice phase stands for the run's final phase
+        spins = quantize(np.stack(inits), params.n_phases)
+        phases, settled_at = TWO_PI * spins / params.n_phases, np.full(len(seeds), np.nan)
     else:
         final, settled_at = integrate_block(graph, inits, params, schedule, seeds, settle_exit=True)
-        coloring, state = final.coloring, final.state
-    columns = (accuracy(graph, coloring), delta_energy(graph, coloring),
-               vector_energy(graph, state), settled_at)
+        spins, phases = final.spins, final.phases
+    columns = (accuracy(graph, spins), delta_energy(graph, spins),
+               vector_energy(graph, phases), settled_at)
     return [RunRecord(seed, acc, de, ve, None if np.isnan(cycles) else cycles)
             for seed, acc, de, ve, cycles in zip(seeds, *(c.tolist() for c in columns))]
 
@@ -247,7 +240,7 @@ def _detune_task(block: tuple) -> list[float]:
     final, _ = integrate_block(graph, inits, params, schedule, seeds, deltas)
     offset = (np.array(deltas) * final.time)[:, None]
     # the deviations are C-contiguous, so each row's mean has its lone bits
-    return np.mean(lattice_deviation(final.state, params.n_phases, offset=offset), axis=1).tolist()
+    return np.mean(lattice_deviation(final.phases, params.n_phases, offset=offset), axis=1).tolist()
 
 
 def detune_sweep(

@@ -1,6 +1,7 @@
 """Test-only helpers: code that no pottsim command or report reaches."""
 from __future__ import annotations
 
+import dataclasses
 from typing import Sequence
 
 import numpy as np
@@ -9,7 +10,7 @@ from pottsim.dynamics import (Checkpoint, DynamicsParams, ShilSchedule, _BlockEd
                               integrate_block)
 from pottsim.graph_io import Graph
 from pottsim.oracle import _guard
-from pottsim.potts import Coloring, PhaseState
+from pottsim.potts import TWO_PI
 
 # Percentile bootstrap: resamples per interval and two-sided coverage.
 BOOTSTRAP_RESAMPLES = 1000
@@ -62,20 +63,22 @@ def count_proper_colorings(graph: Graph, k: int) -> int:
     return total
 
 
-def run_checkpoints(graph: Graph, init: PhaseState, params: DynamicsParams,
+def lattice_phases(spins, n_phases: int) -> np.ndarray:
+    """Every vertex at its spin's lattice phase, as the `none` ablation scores it."""
+    return TWO_PI * np.asarray(spins) / n_phases
+
+
+def run_checkpoints(graph: Graph, init: np.ndarray, params: DynamicsParams,
                     schedule: ShilSchedule, seed: int = 0) -> Checkpoint:
     """Every checkpoint of one run of `integrate_block`, as one Checkpoint
     whose row k is the run at its k-th checkpoint."""
     seen: list[Checkpoint] = []
     integrate_block(graph, [init], params, schedule, [seed],
                     record=lambda rows, cp: seen.append(cp))
-    return Checkpoint(np.concatenate([cp.time for cp in seen]),
-                      PhaseState(np.concatenate([cp.state.phases for cp in seen])),
-                      np.concatenate([cp.lyapunov for cp in seen]),
-                      Coloring(np.concatenate([cp.coloring.spins for cp in seen]), params.n_phases),
-                      np.concatenate([cp.max_rate for cp in seen]))
+    return Checkpoint(*(np.concatenate([getattr(cp, f.name) for cp in seen])
+                        for f in dataclasses.fields(Checkpoint)))
 
 
-def velocity(graph: Graph, state: PhaseState, kc: float, ks: float, n_phases: int) -> np.ndarray:
-    """One undetuned state's phase velocities: minus the gradient of `lyapunov`."""
-    return _rhs_core(state.phases[:, None], 0.0, _BlockEdges(graph, 1), kc, ks, n_phases, None)[:, 0]
+def velocity(graph: Graph, phases: np.ndarray, kc: float, ks: float, n_phases: int) -> np.ndarray:
+    """One undetuned run's phase velocities: minus the gradient of `lyapunov`."""
+    return _rhs_core(phases[:, None], 0.0, _BlockEdges(graph, 1), kc, ks, n_phases, None)[:, 0]

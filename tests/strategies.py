@@ -5,7 +5,6 @@ import numpy as np
 from hypothesis import strategies as st
 
 from pottsim.graph_io import Graph
-from pottsim.potts import Coloring, PhaseState
 
 
 @st.composite
@@ -20,7 +19,7 @@ def graphs(draw, max_vertices: int = 8) -> Graph:
 
 
 @st.composite
-def colorings(draw, graph: Graph, num_phases: int = 3) -> Coloring:
+def colorings(draw, graph: Graph, num_phases: int = 3) -> np.ndarray:
     spins = draw(
         st.lists(
             st.integers(min_value=0, max_value=num_phases - 1),
@@ -28,11 +27,11 @@ def colorings(draw, graph: Graph, num_phases: int = 3) -> Coloring:
             max_size=graph.num_vertices,
         )
     )
-    return Coloring(np.array(spins), num_phases)
+    return np.array(spins)
 
 
 @st.composite
-def phase_states(draw, n: int) -> PhaseState:
+def phase_states(draw, n: int) -> np.ndarray:
     phases = draw(
         st.lists(
             st.floats(min_value=0.0, max_value=2.0 * np.pi, exclude_max=True),
@@ -40,4 +39,4 @@ def phase_states(draw, n: int) -> PhaseState:
             max_size=n,
         )
     )
-    return PhaseState(np.array(phases))
+    return np.array(phases)

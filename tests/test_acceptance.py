@@ -14,7 +14,7 @@ import pytest
 
 from pottsim import DynamicsParams, ShilSchedule, solve_multi
 from pottsim.graph_io import Graph
-from pottsim.potts import Coloring, PhaseState, accuracy, lattice_state, lyapunov, quantize
+from pottsim.potts import accuracy, lyapunov, quantize
 from pottsim.dynamics import random_init
 from pottsim.solver import (
     AblationMode,
@@ -25,7 +25,8 @@ from pottsim.oracle import enumerate_landscape
 from pottsim.cli import main as cli_main
 
 from conftest import BENCH_DIR, load_benchmark, random_colorable_graph
-from helpers import bootstrap_mean_diff, count_proper_colorings, run_checkpoints, velocity
+from helpers import (bootstrap_mean_diff, count_proper_colorings, lattice_phases, run_checkpoints,
+                     velocity)
 
 JOBS = 2
 BASE_SEED = 0
@@ -192,16 +193,16 @@ def test_criterion_5_dynamics_correctness():
         m = int(rng.integers(0, len(pairs) + 1))
         picked = rng.choice(len(pairs), size=m, replace=False) if m else []
         graph = Graph(n, np.array([pairs[i] for i in picked], dtype=int).reshape(-1, 2))
-        state = PhaseState(rng.random(n) * 2 * np.pi)
+        phases = rng.random(n) * 2 * np.pi
         kc, ks = float(rng.random() * 2), float(rng.random() * 3)
-        vel = velocity(graph, state, kc, ks, n_phases)
+        vel = velocity(graph, phases, kc, ks, n_phases)
         h = 1e-5
         for i in range(n):
-            up, dn = state.phases.copy(), state.phases.copy()
+            up, dn = phases.copy(), phases.copy()
             up[i] += h
             dn[i] -= h
-            fd = (lyapunov(graph, PhaseState(up), kc, ks, n_phases)
-                  - lyapunov(graph, PhaseState(dn), kc, ks, n_phases)) / (2 * h)
+            fd = (lyapunov(graph, up, kc, ks, n_phases)
+                  - lyapunov(graph, dn, kc, ks, n_phases)) / (2 * h)
             max_err = max(max_err, abs(vel[i] + fd))
     grad_ok = max_err < 1e-6
 
@@ -222,10 +223,7 @@ def test_criterion_5_dynamics_correctness():
     round_ok = True
     for n_phases in range(2, 9):
         spins = np.arange(n_phases)
-        coloring = Coloring(spins, n_phases)
-        round_ok &= np.array_equal(
-            quantize(lattice_state(coloring), n_phases).spins, spins
-        )
+        round_ok &= np.array_equal(quantize(lattice_phases(spins, n_phases), n_phases), spins)
 
     ok = grad_ok and descent_ok and round_ok
     emit(5, "dynamics correctness", ok,
@@ -233,7 +231,7 @@ def test_criterion_5_dynamics_correctness():
          f"round-trip {'ok' if round_ok else 'broken'}")
     assert grad_ok, f"velocity vs finite-difference gradient error {max_err:.2e} > 1e-6"
     assert descent_ok, "Lyapunov increased on a constant-envelope segment"
-    assert round_ok, "quantize(lattice_state(s)) != s for some spin"
+    assert round_ok, "quantize(lattice_phases(s)) != s for some spin"
 
 
 def test_criterion_6_detuning():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,16 +9,7 @@ from hypothesis import strategies as st
 
 from pottsim import DynamicsParams, ShilSchedule, dynamics
 from pottsim.graph_io import Graph
-from pottsim.potts import (
-    TWO_PI,
-    Coloring,
-    PhaseState,
-    accuracy,
-    lattice_deviation,
-    lattice_state,
-    lyapunov,
-    quantize,
-)
+from pottsim.potts import TWO_PI, accuracy, lattice_deviation, lyapunov, quantize
 from pottsim.dynamics import (
     CONVERGENCE_WINDOW,
     Checkpoint,
@@ -29,24 +22,24 @@ from pottsim.dynamics import (
 )
 
 from conftest import random_colorable_graph
-from helpers import run_checkpoints, velocity
+from helpers import lattice_phases, run_checkpoints, velocity
 from strategies import graphs
 
 # chi-square critical value, 35 degrees of freedom, significance 0.01
 CHI2_35_99 = 57.342
 
 
-def gradient_fd(graph, state, kc, ks, n_phases, h=1e-5):
+def gradient_fd(graph, phases, kc, ks, n_phases, h=1e-5):
     """Independent oracle: central finite differences of the Lyapunov function."""
-    grad = np.zeros(len(state))
-    for i in range(len(state)):
-        up = state.phases.copy()
-        dn = state.phases.copy()
+    grad = np.zeros(len(phases))
+    for i in range(len(phases)):
+        up = phases.copy()
+        dn = phases.copy()
         up[i] += h
         dn[i] -= h
         grad[i] = (
-            lyapunov(graph, PhaseState(up), kc, ks, n_phases)
-            - lyapunov(graph, PhaseState(dn), kc, ks, n_phases)
+            lyapunov(graph, up, kc, ks, n_phases)
+            - lyapunov(graph, dn, kc, ks, n_phases)
         ) / (2 * h)
     return grad
 
@@ -55,7 +48,7 @@ def solved_to_t_max(graph, params, sched, seeds) -> int:
     """Runs, stepped as one block to t_max, whose final coloring is proper."""
     final, _ = integrate_block(graph, [random_init(graph.num_vertices, s) for s in seeds],
                                params, sched, list(seeds))
-    return int(np.sum(accuracy(graph, final.coloring) == 1.0))
+    return int(np.sum(accuracy(graph, final.spins) == 1.0))
 
 
 class TestParamsValidation:
@@ -101,12 +94,11 @@ class TestEnvelope:
 class TestRhs:
     def test_lattice_is_fixed_point_without_coupling(self):
         graph = random_colorable_graph(6, 9, seed=0)
-        coloring = Coloring([0, 1, 2, 0, 1, 2], 3)
-        vel = velocity(graph, lattice_state(coloring), kc=0.0, ks=2.0, n_phases=3)
+        vel = velocity(graph, lattice_phases([0, 1, 2, 0, 1, 2], 3), kc=0.0, ks=2.0, n_phases=3)
         assert np.allclose(vel, 0.0, atol=1e-12)
 
     def test_repulsive_pair_drifts_apart(self, single_edge):
-        state = PhaseState([0.0, 2 * np.pi / 3])
+        state = np.array([0.0, 2 * np.pi / 3])
         vel = velocity(single_edge, state, 1.0, 0.0, 3)
         root3_half = np.sqrt(3) / 2
         assert vel[0] == pytest.approx(-root3_half)
@@ -121,7 +113,7 @@ class TestRhs:
             m = int(rng.integers(0, len(pairs) + 1))
             picked = rng.choice(len(pairs), size=m, replace=False) if m else []
             graph = Graph(n, np.array([pairs[i] for i in picked], dtype=int).reshape(-1, 2))
-            state = PhaseState(rng.random(n) * 2 * np.pi)
+            state = rng.random(n) * 2 * np.pi
             kc, ks = float(rng.random() * 2), float(rng.random() * 3)
             vel = velocity(graph, state, kc, ks, n_phases)
             assert np.allclose(vel, -gradient_fd(graph, state, kc, ks, n_phases), atol=1e-6)
@@ -171,16 +163,16 @@ class TestRandomInit:
     def test_deterministic(self):
         a = random_init(100, seed=5)
         b = random_init(100, seed=5)
-        assert np.array_equal(a.phases, b.phases)
-        assert not np.array_equal(a.phases, random_init(100, seed=6).phases)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, random_init(100, seed=6))
 
     def test_range(self):
-        state = random_init(1000, seed=1)
-        assert np.all(state.phases >= 0.0) and np.all(state.phases < 2 * np.pi)
+        phases = random_init(1000, seed=1)
+        assert np.all(phases >= 0.0) and np.all(phases < 2 * np.pi)
 
     def test_uniformity_chi_square(self):
-        state = random_init(100_000, seed=7)
-        counts, _ = np.histogram(state.phases, bins=36, range=(0.0, 2 * np.pi))
+        phases = random_init(100_000, seed=7)
+        counts, _ = np.histogram(phases, bins=36, range=(0.0, 2 * np.pi))
         expected = 100_000 / 36
         chi2 = float(np.sum((counts - expected) ** 2 / expected))
         assert chi2 < CHI2_35_99
@@ -193,7 +185,32 @@ class TestIntegrate:
         cps = run_checkpoints(k3, init, params, ShilSchedule(), seed=0)
         assert len(cps.time) == 1
         assert cps.time[0] == 0.0
-        assert np.array_equal(cps.state.phases[0], init.phases)
+        assert np.array_equal(cps.phases[0], init)
+
+    def test_init_is_made_canonical_on_entry(self):
+        # an init holding -0.0, or a phase 2*pi above its range, runs exactly
+        # as its np.mod does: same records, same Checkpoint bits
+        graph = random_colorable_graph(20, 40, seed=5)
+        negative_zero, shifted = random_init(20, seed=1), random_init(20, seed=1)
+        negative_zero[3] = -0.0
+        shifted[7] += TWO_PI
+
+        def run(init) -> list[bytes]:
+            seen = []
+            final, settled_at = integrate_block(graph, [init], DynamicsParams(t_max=15.0),
+                                                ShilSchedule(), [1], settle_exit=True,
+                                                record=lambda rows, cp: seen.append(cp))
+            return [settled_at.tobytes()] + [getattr(cp, f.name).tobytes() for cp in [final, *seen]
+                                             for f in dataclasses.fields(Checkpoint)]
+
+        for init in (negative_zero, shifted):
+            assert run(init) == run(np.mod(init, TWO_PI))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_init_is_rejected(self, k3, bad):
+        with pytest.raises(ValueError, match="non-finite initial phase"):
+            integrate_block(k3, [np.array([0.0, bad, 1.0])], DynamicsParams(t_max=1.0),
+                            ShilSchedule(), [0])
 
     @pytest.mark.parametrize("endpoint", [-1, 3])
     def test_out_of_range_endpoint_is_rejected(self, endpoint):
@@ -201,7 +218,7 @@ class TestIntegrate:
         # gathers clamp indices, so the block checks them once itself
         graph = Graph(3, [(0, 1), (1, 2)])
         graph.edges[1, 1] = endpoint
-        state = PhaseState([0.0, 1.0, 2.0])
+        state = np.array([0.0, 1.0, 2.0])
         with pytest.raises(ValueError, match="out of range"):
             integrate_block(graph, [state], DynamicsParams(t_max=1.0), ShilSchedule(), [0])
         with pytest.raises(ValueError, match="out of range"):
@@ -308,23 +325,23 @@ class TestIntegrate:
         sched = ShilSchedule()
         init = random_init(12, seed=3)
         shift = 2 * np.pi / 3
-        rotated = PhaseState(init.phases + shift)
+        rotated = init + shift
         base = run_checkpoints(graph, init, params, sched, seed=3)
         rot = run_checkpoints(graph, rotated, params, sched, seed=3)
         assert np.array_equal(base.time, rot.time)
-        mismatch = np.angle(np.exp(1j * (rot.state.phases - base.state.phases - shift)))
+        mismatch = np.angle(np.exp(1j * (rot.phases - base.phases - shift)))
         assert np.allclose(mismatch, 0.0, atol=1e-8)
 
     def test_lattice_configs_attract_small_perturbations(self):
         rng = np.random.default_rng(0)
-        coloring = Coloring(rng.integers(0, 3, 8), 3)
+        coloring = rng.integers(0, 3, 8)
         graph = Graph(8, np.empty((0, 2), dtype=int))
-        start = lattice_state(coloring)
-        bumped = PhaseState(start.phases + rng.uniform(-0.9, 0.9, 8))  # < pi/3
+        start = lattice_phases(coloring, 3)
+        bumped = start + rng.uniform(-0.9, 0.9, 8)  # < pi/3
         params = DynamicsParams(coupling_gain=0.0, t_max=20.0)
         cps = run_checkpoints(graph, bumped, params, ShilSchedule(t_on=0.0, ramp=0.0), seed=0)
-        assert np.array_equal(cps.coloring.spins[-1], coloring.spins)
-        assert np.max(lattice_deviation(cps.state, 3)[-1]) < 1e-6
+        assert np.array_equal(cps.spins[-1], coloring)
+        assert np.max(lattice_deviation(cps.phases, 3)[-1]) < 1e-6
 
     def test_deviation_shrinks_as_shil_dominates(self):
         graph = random_colorable_graph(20, 40, seed=3)
@@ -333,7 +350,7 @@ class TestIntegrate:
         for gain in (0.5, 1.0, 2.0, 4.0, 8.0):
             params = DynamicsParams(shil_gain_max=gain, dt=0.01, t_max=60.0)
             cps = run_checkpoints(graph, random_init(20, seed=8), params, sched, seed=8)
-            devs.append(float(np.mean(lattice_deviation(cps.state, 3)[-1])))
+            devs.append(float(np.mean(lattice_deviation(cps.phases, 3)[-1])))
         assert all(b <= a + 1e-9 for a, b in zip(devs, devs[1:]))
 
     def test_two_phase_machine_two_colors_bipartite(self):
@@ -356,8 +373,8 @@ class TestIntegrate:
         a = run_checkpoints(graph, init, params, ShilSchedule(), seed=4)
         b = run_checkpoints(graph, init, params, ShilSchedule(), seed=4)
         c = run_checkpoints(graph, init, params, ShilSchedule(), seed=5)
-        assert np.array_equal(a.state.phases[-1], b.state.phases[-1])
-        assert not np.array_equal(a.state.phases[-1], c.state.phases[-1])
+        assert np.array_equal(a.phases[-1], b.phases[-1])
+        assert not np.array_equal(a.phases[-1], c.phases[-1])
 
     def test_divergence_raises_with_time(self, k3):
         params = DynamicsParams(coupling_gain=1e308, t_max=1.0)
@@ -396,7 +413,7 @@ class TestIntegrate:
             assert len(early) < len(full)
             for a, b in zip(early, full):
                 assert a.time[0] == b.time[0] and a.max_rate[0] == b.max_rate[0]
-                assert np.array_equal(a.state.phases, b.state.phases)
+                assert np.array_equal(a.phases, b.phases)
 
     @pytest.mark.parametrize("params, sched", [
         (DynamicsParams(noise_amplitude=1e-4, t_max=30.0), ShilSchedule()),
@@ -431,16 +448,16 @@ class TestIntegrate:
             assert rows[0] == 0
             assert ((a.time[0], a.lyapunov[0], a.max_rate[0])
                     == (alone.time[k], alone.lyapunov[k], alone.max_rate[k]))
-            assert a.state.phases[0].tobytes() == alone.state.phases[k].tobytes()
-            assert np.array_equal(a.coloring.spins[0], alone.coloring.spins[k])
+            assert a.phases[0].tobytes() == alone.phases[k].tobytes()
+            assert np.array_equal(a.spins[0], alone.spins[k])
         # every row's Lyapunov value and coloring are those of the row alone
         for cp in [cp for _, cp in recorded] + [alone]:
-            for time, phases, lyap, spins in zip(cp.time, cp.state.phases, cp.lyapunov,
-                                                 cp.coloring.spins, strict=True):
+            for time, phases, lyap, spins in zip(cp.time, cp.phases, cp.lyapunov, cp.spins,
+                                                 strict=True):
                 ks_now = params.shil_gain_max * sched.envelope(time)
-                assert lyap == lyapunov(graph, PhaseState(phases), params.coupling_gain, ks_now,
+                assert lyap == lyapunov(graph, phases, params.coupling_gain, ks_now,
                                         params.n_phases)
-                assert np.array_equal(spins, quantize(PhaseState(phases), params.n_phases).spins)
+                assert np.array_equal(spins, quantize(phases, params.n_phases))
         assert sum(len(rows) for rows, _ in recorded) == len(seeds) * len(alone.time)
 
     def test_record_gets_the_running_rows_at_strictly_increasing_times(self):
@@ -457,27 +474,26 @@ class TestIntegrate:
         assert all(b > a for a, b in zip(times, times[1:]))
         for rows, cp in recorded:
             assert np.all(cp.time == cp.time[0])
-            assert (len(rows) == len(cp.state.phases) == len(cp.lyapunov)
-                    == len(cp.coloring.spins) == len(cp.max_rate))
+            assert (len(rows) == len(cp.phases) == len(cp.lyapunov)
+                    == len(cp.spins) == len(cp.max_rate))
         assert [len(rows) for rows, _ in recorded] != [len(seeds)] * len(recorded)
         for r in range(len(seeds)):
             rows, cp = [(rows, cp) for rows, cp in recorded if r in rows][-1]
             k = list(rows).index(r)
             assert cp.time[k] == final.time[r] == settled_at[r]
             assert (cp.lyapunov[k], cp.max_rate[k]) == (final.lyapunov[r], final.max_rate[r])
-            assert cp.state.phases[k].tobytes() == final.state.phases[r].tobytes()
-            assert np.array_equal(cp.coloring.spins[k], final.coloring.spins[r])
+            assert cp.phases[k].tobytes() == final.phases[r].tobytes()
+            assert np.array_equal(cp.spins[k], final.spins[r])
 
 
-def lattice_checkpoint(time: float, coloring: Coloring, max_rate: float) -> Checkpoint:
-    """A one-row block at the lattice point of `coloring`."""
-    return Checkpoint(np.array([time]), PhaseState(lattice_state(coloring).phases[None]),
-                      np.array([-1.0]), Coloring(coloring.spins[None], coloring.num_phases),
-                      np.array([max_rate]))
+def lattice_checkpoint(time: float, spins: list[int], max_rate: float) -> Checkpoint:
+    """A one-row block of three-phase spins at their lattice point."""
+    return Checkpoint(np.array([time]), lattice_phases([spins], 3), np.array([-1.0]),
+                      np.array([spins]), np.array([max_rate]))
 
 
-def constant_checkpoints(coloring: Coloring, count: int, stride: float = 0.5) -> list[Checkpoint]:
-    return [lattice_checkpoint(i * stride, coloring, 0.0) for i in range(count)]
+def constant_checkpoints(spins: list[int], count: int, stride: float = 0.5) -> list[Checkpoint]:
+    return [lattice_checkpoint(i * stride, spins, 0.0) for i in range(count)]
 
 
 def first_settle(checkpoints: list[Checkpoint], settle_from: float):
@@ -485,9 +501,9 @@ def first_settle(checkpoints: list[Checkpoint], settle_from: float):
     one-row block reports a settle."""
     counts = spins = None
     for cp in checkpoints:
-        counts, settled = _settle_step(counts, spins, cp.coloring.spins, cp.max_rate,
+        counts, settled = _settle_step(counts, spins, cp.spins, cp.max_rate,
                                        cp.time[0], settle_from)
-        spins = cp.coloring.spins
+        spins = cp.spins
         if settled[0]:
             return cp.time[0]
     return None
@@ -495,16 +511,16 @@ def first_settle(checkpoints: list[Checkpoint], settle_from: float):
 
 class TestDetectConvergence:
     def test_constant_trajectory_converges_at_window(self):
-        cps = constant_checkpoints(Coloring([0, 1, 2], 3), count=10)
+        cps = constant_checkpoints([0, 1, 2], count=10)
         assert first_settle(cps, 0.0) == cps[CONVERGENCE_WINDOW - 1].time
 
     def test_flickering_coloring_never_converges(self):
-        a, b = Coloring([0, 1, 2], 3), Coloring([1, 2, 0], 3)
+        a, b = [0, 1, 2], [1, 2, 0]
         cps = [lattice_checkpoint(i * 0.5, a if i % 2 else b, 0.0) for i in range(10)]
         assert first_settle(cps, 0.0) is None
 
     def test_settle_counts_from_settle_from(self):
-        cps = constant_checkpoints(Coloring([0, 1, 2], 3), count=30)
+        cps = constant_checkpoints([0, 1, 2], count=30)
         assert first_settle(cps, 10.0) == 10.0
         assert first_settle(cps, 20.0) is None
 
@@ -522,8 +538,7 @@ class TestDetectConvergence:
         assert settle_times == [(CONVERGENCE_WINDOW - 1) * 0.5, (4 + CONVERGENCE_WINDOW - 1) * 0.5]
 
     def test_high_rate_blocks_convergence(self):
-        coloring = Coloring([0, 1, 2], 3)
-        cps = [lattice_checkpoint(i * 0.5, coloring, 1.0) for i in range(10)]
+        cps = [lattice_checkpoint(i * 0.5, [0, 1, 2], 1.0) for i in range(10)]
         assert first_settle(cps, 0.0) is None
 
 class TestWrapPhases:
@@ -547,7 +562,7 @@ class TestWrapPhases:
         cps = run_checkpoints(k4, random_init(4, 2), params, ShilSchedule(), seed=2)
         beyond = [lo < -TWO_PI or hi >= 2 * TWO_PI for lo, hi in spans]
         assert any(beyond) == (params.coupling_gain == 500.0)
-        final = cps.state.phases[-1]
+        final = cps.phases[-1]
         assert np.all(np.isfinite(final)) and np.all((0 <= final) & (final < TWO_PI))
 
     def test_non_finite_phase_names_the_seed(self, k4):

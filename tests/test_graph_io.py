@@ -146,7 +146,7 @@ class TestGenPlanted:
         a = gen_planted(40, 80, 3, seed=9)
         b = gen_planted(40, 80, 3, seed=9)
         assert np.array_equal(a.graph.edges, b.graph.edges)
-        assert np.array_equal(a.planted.spins, b.planted.spins)
+        assert np.array_equal(a.planted, b.planted)
 
     def test_different_seed_differs(self):
         a = gen_planted(40, 80, 3, seed=9)
@@ -165,7 +165,7 @@ class TestGenPlanted:
     def test_midsize_is_three_colorable(self):
         # the planted coloring is the certificate: proper, with 3 colors
         inst = gen_planted(50, 115, 3, seed=21)
-        assert inst.planted.num_phases == 3
+        assert inst.k == 3 and set(inst.planted.tolist()) <= {0, 1, 2}
         assert accuracy(inst.graph, inst.planted) == 1.0
 
     def test_infeasible_edge_count(self):
@@ -191,4 +191,4 @@ class TestGenPlanted:
         inst = gen_planted(12, 20, 3, seed=77)
         doc = json.loads(planted_sidecar(inst))
         assert doc["n"] == 12 and doc["m"] == 20 and doc["k"] == 3 and doc["seed"] == 77
-        assert doc["planted"] == inst.planted.spins.tolist()
+        assert doc["planted"] == inst.planted.tolist()

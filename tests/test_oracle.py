@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from pottsim.graph_io import Graph
-from pottsim.potts import Coloring, accuracy, lattice_state, vector_energy
+from pottsim.potts import accuracy, vector_energy
 from pottsim.oracle import enumerate_landscape
 
 from conftest import random_colorable_graph
-from helpers import count_proper_colorings
+from helpers import count_proper_colorings, lattice_phases
 
 C4 = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
 
@@ -110,8 +110,8 @@ class TestCrossChecks:
         scape = enumerate_landscape(graph, 3)
         hits = 0
         for spins in itertools.product(range(3), repeat=6):
-            coloring = Coloring(np.array(spins), 3)
-            if abs(vector_energy(graph, lattice_state(coloring)) - scape.min_energy) <= 1e-9:
+            coloring = np.array(spins)
+            if abs(vector_energy(graph, lattice_phases(coloring, 3)) - scape.min_energy) <= 1e-9:
                 hits += 1
                 assert accuracy(graph, coloring) == 1.0
         assert hits == scape.num_global_minima

@@ -2,8 +2,10 @@
 
 `perfbench/tracing.py` replaces names in pottsim's modules and reports a name
 it cannot find on stderr, after which that name's metrics read 0.  Only the
-three names below, which the tracer still lists but pottsim no longer has,
+four names below, which the tracer still lists but pottsim no longer has,
 may be missing; any other missing name means a rename zeroed its metrics.
+(`dynamics.PhaseState` opened the checkpoint span only under
+`dynamics.integrate`, itself gone, so its metrics read 0 before it went.)
 """
 from __future__ import annotations
 
@@ -15,10 +17,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 GONE = {"pottsim.solver.solve_once", "pottsim.solver.integrate",
-        "pottsim.solver.detect_convergence"}
-PATCHED = {"pottsim.dynamics.Checkpoint", "pottsim.dynamics.PhaseState",
-           "pottsim.dynamics._rhs_core", "pottsim.solver._run_task",
-           "pottsim.solver._detune_task"}
+        "pottsim.solver.detect_convergence", "pottsim.dynamics.PhaseState"}
+PATCHED = {"pottsim.dynamics.Checkpoint", "pottsim.dynamics._rhs_core",
+           "pottsim.solver._run_task", "pottsim.solver._detune_task"}
 
 INSTALL = """
 import sys

@@ -64,8 +64,8 @@ class TestSolveOnce:
                 graph, [random_init(30, seed)], params, SCHED, [seed])
             assert final.time[0] == pytest.approx(params.t_max)
             assert record.cycles < params.t_max  # the run did stop early
-            assert [record.accuracy] == accuracy(graph, final.coloring).tolist()
-            assert [record.delta_energy] == delta_energy(graph, final.coloring).tolist()
+            assert [record.accuracy] == accuracy(graph, final.spins).tolist()
+            assert [record.delta_energy] == delta_energy(graph, final.spins).tolist()
             assert record.cycles == settled_at
 
     def test_deterministic_per_seed(self):
@@ -162,7 +162,7 @@ class TestLockstepBlocks:
                 shared[1], SCHED, row_seeds, rates, settle_exit=True)
             return [(t, lyap, None if np.isnan(at) else at, phases.tobytes())
                     for t, lyap, at, phases in zip(final.time.tolist(), final.lyapunov.tolist(),
-                                                   settled_at.tolist(), final.state.phases)]
+                                                   settled_at.tolist(), final.phases)]
 
         ends = [end for block in split(rows, cuts) for end in run(block)]
         assert ends == [end for row in rows for end in run([row])]
