@@ -23,7 +23,7 @@ target the real values differ in their last digits.
 To compare another tree, copy this file into that tree's `scripts/` and run
 it there too.  The trees agree when `diff -r DEST_A DEST_B` prints nothing;
 `scripts/compare_reports.py DEST_A/reports DEST_B/reports` explains a
-difference in the reports run by run.  The set took 27 s on a shared
+difference in the reports run by run.  The set took 35-39 s on a shared
 2-vCPU host (Python 3.11.7, numpy 2.4.6).
 """
 from __future__ import annotations
@@ -48,18 +48,27 @@ def commands(dest: Path) -> list[tuple[str, list[str], str | None]]:
 
     Instance paths are relative to the repository root; `--out` files and the
     GRAPHS instances live under `dest`."""
-    flat_200 = "benchmarks/flat_200_479-1.col"
+    flat_30, flat_200 = "benchmarks/flat_30_60-1.col", "benchmarks/flat_200_479-1.col"
     instances = sorted(p.name for p in (ROOT / "benchmarks").glob("*.col"))
     cmds = [(f"solve_{Path(name).stem}", ["solve", f"benchmarks/{name}", "--iters", "20",
                                           "--jobs", "2"], ".json") for name in instances]
     cmds += [(f"ablate_{mode}", ["ablate", flat_200, "--mode", mode, "--jobs", "2"], ".json")
              for mode in ("full", "sync_only", "couplings_only", "none")]
-    cmds += [("bench", ["bench", "benchmarks", "--iters", "2", "--t-max", "20"], ".json")]
+    bench = ["bench", "benchmarks", "--iters", "2", "--t-max", "20"]
+    cmds += [("bench", bench, ".json"), ("bench_csv", [*bench, "--format", "csv"], ".csv")]
     cmds += [(f"detune_jobs{jobs}", ["detune", flat_200, "--iters", "2", "--jobs", str(jobs)],
               ".csv") for jobs in (1, 2)]
+    # a noisy row and a detuned row each run to t_max, alone and together
+    cmds += [(f"solve_{name}", ["solve", flat_30, "--iters", "10", *flags, "--jobs", "2"], ".json")
+             for name, flags in (("noisy", ["--noise", "0.01"]), ("detuned", ["--detune", "0.2"]),
+                                 ("noisy_detuned", ["--noise", "0.01", "--detune", "0.2"]))]
+    # N = 2 and N = 4 run the RHS's Chebyshev loop 0 and 2 times
+    cmds += [(f"solve_n{n}", ["solve", flat_30, "--iters", "10", "--n-phases", str(n),
+                              "--jobs", "2"], ".json") for n in (2, 4)]
     cmds += [
-        ("solve_noisy_detuned", ["solve", "benchmarks/flat_30_60-1.col", "--iters", "10",
-                                 "--noise", "0.01", "--detune", "0.2", "--jobs", "2"], ".json"),
+        ("solve_one_row", ["solve", flat_200, "--iters", "1"], ".json"),
+        ("detune_json", ["detune", flat_30, "--iters", "2", "--format", "json", "--jobs", "2"],
+         ".json"),
         # fails: the coupling-unstable run's Lyapunov value rises
         ("solve_kc40", ["solve", flat_200, "--kc", "40", "--iters", "3"], None),
         ("solve_csv_out", ["solve", "benchmarks/flat_50_115-1.col", "--iters", "10",

@@ -15,13 +15,14 @@ the exact N-th harmonic.  Time is measured in natural oscillator cycles.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+import numbers
+from dataclasses import dataclass, fields
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .graph_io import Graph
-from .potts import TWO_PI, lyapunov, quantize, wrap_phases
+from .potts import TWO_PI, lyapunov, phase_count, quantize, wrap_phases
 
 # Time between checkpoints (cycles), rounded to a whole number of
 # steps.
@@ -43,6 +44,16 @@ class IntegrationDivergedError(RuntimeError):
     value rose under a fixed gradient flow (step size too large for the gains)."""
 
 
+def _store_numbers(settings, ints: tuple[str, ...] = ()):
+    """Store each field of a frozen dataclass as a Python float, or for the names in
+    `ints` as an int (`potts.phase_count`), so that every accepted value serializes."""
+    for f in fields(settings):
+        val = getattr(settings, f.name)
+        if not isinstance(val, numbers.Real):
+            raise TypeError(f"{f.name} must be a real number, got {val!r}")
+        object.__setattr__(settings, f.name, phase_count(val) if f.name in ints else float(val))
+
+
 @dataclass(frozen=True)
 class DynamicsParams:
     """Gains, noise, detuning and integration grid for one machine run.
@@ -61,23 +72,17 @@ class DynamicsParams:
     t_max: float = 50.0
 
     def __post_init__(self):
-        if self.n_phases < 2:
-            raise ValueError("n_phases must be >= 2")
-        for name in ("coupling_gain", "shil_gain_max", "noise_amplitude"):
-            val = getattr(self, name)
-            if not np.isfinite(val) or val < 0:
+        _store_numbers(self, ints=("n_phases",))
+        for name in ("coupling_gain", "shil_gain_max", "noise_amplitude", "t_max"):
+            if not 0 <= getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and >= 0")
-        if not np.isfinite(self.detuning):
+        if not -np.inf < self.detuning < np.inf:
             raise ValueError("detuning must be finite")
         if not 0 < self.dt < np.inf:
             raise ValueError("dt must be finite and positive")
-        if self.dt * self.n_phases * self.shil_gain_max > RK4_REAL_STABILITY:
-            raise ValueError(
-                f"dt * n_phases * shil_gain_max = {self.dt * self.n_phases * self.shil_gain_max:g} "
-                f"exceeds RK4's stability limit {RK4_REAL_STABILITY} (reduce dt or the SHIL gain)"
-            )
-        if not np.isfinite(self.t_max) or self.t_max < 0:
-            raise ValueError("t_max must be finite and >= 0")
+        if (stiffness := self.dt * self.n_phases * self.shil_gain_max) > RK4_REAL_STABILITY:
+            raise ValueError(f"dt * n_phases * shil_gain_max = {stiffness:g} exceeds RK4's "
+                             f"stability limit {RK4_REAL_STABILITY} (reduce dt or the SHIL gain)")
         if not np.isfinite(max(self.t_max, CHECKPOINT_STRIDE) / self.dt):
             raise ValueError(f"dt = {self.dt:g} is too small: the step count must be finite")
 
@@ -92,6 +97,7 @@ class ShilSchedule:
     ramp: float = 5.0
 
     def __post_init__(self):
+        _store_numbers(self)
         if not (0 <= self.t_on < np.inf and 0 <= self.ramp < np.inf):
             raise ValueError("t_on and ramp must be finite and >= 0")
 
@@ -110,15 +116,16 @@ class ShilSchedule:
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """A block of runs at a checkpoint: row r of the (rows, n) `phases` and
-    `spins` arrays is run r, with entry r of the `time`, `lyapunov` and
-    `max_rate` arrays."""
+    """The running rows of a block at time `time`: row r of the (rows, n) `phases` and
+    `spins` (the rounded coloring) arrays is running row r, with entry r of the `lyapunov`,
+    `max_rate` (max |dtheta/dt|) and `settled_at` (first settle time, NaN before) arrays."""
 
-    time: np.ndarray
+    time: float
     phases: np.ndarray
     lyapunov: np.ndarray
     spins: np.ndarray
     max_rate: np.ndarray
+    settled_at: np.ndarray
 
 
 class _BlockEdges:
@@ -242,34 +249,29 @@ def integrate_block(
     seeds: Sequence[int],
     detunings: Optional[Sequence[float]] = None,
     settle_exit: bool = False,
-    record: Optional[Callable[[np.ndarray, Checkpoint], None]] = None,
-) -> tuple[Checkpoint, np.ndarray]:
-    """Fixed-step RK4 integration of a block of runs in lockstep.
+) -> Iterator[tuple[np.ndarray, Checkpoint]]:
+    """Fixed-step RK4 integration of a block of runs in lockstep.  It yields
+    ``(rows, checkpoint)``, the block indices of the running rows and their
+    Checkpoint, every round(CHECKPOINT_STRIDE / dt) steps and at the last
+    step; a row's last checkpoint is its end.
 
     Every row shares ``params`` and ``schedule``; row r starts from
     ``inits[r]`` with seed ``seeds[r]`` and rate ``detunings[r]`` (None: every
     row at ``params.detuning``).  The rows form the columns of one (n, rows)
-    phase array, so each step and checkpoint is a fixed set of whole-array
-    passes, and each row's every step has the bits it has when the row runs
-    alone.  The initial phases are taken mod 2*pi, with np.mod's bits, and a
-    non-finite one raises ValueError.  Noise of std ``noise_amplitude *
-    sqrt(dt)`` per step, when enabled, comes from a stream derived from the
-    row's seed.  Phases are wrapped to [0, 2*pi) after every step
-    (`potts.wrap_phases`).  Checkpoints (the Lyapunov value,
-    the rounded coloring and max |dtheta/dt| of every running row) are taken
-    every round(CHECKPOINT_STRIDE / dt) steps and at the last step.
+    phase array, and each row's every step has the bits it has alone.  The
+    initial phases are taken mod 2*pi with np.mod's bits; a non-finite one
+    raises ValueError, as every input check does, at the first ``next()``.
+    Noise of std ``noise_amplitude * sqrt(dt)`` per step comes from a stream
+    derived from the row's seed.  Phases are wrapped to [0, 2*pi] after every
+    step (`potts.wrap_phases`).
 
     A row settles at the first checkpoint that meets the settle rule
-    (`_settle_step`).  Every row ends at the last step, or with ``settle_exit``
-    once settled if the rest of its run is a fixed gradient flow: no noise and
-    no detuning.  ``record(rows, checkpoint)``, when given, is called at each
-    checkpoint with the block indices of the running rows and the Checkpoint
-    of those rows.  Returns the block as one Checkpoint, row r at its last
-    checkpoint, and the (rows,) settle times (NaN if unsettled).  Raises
-    IntegrationDivergedError, naming the row's seed, if a phase becomes
-    non-finite, or if a fixed gradient flow's Lyapunov value rises by more
-    than 1e-6 per edge and step between two checkpoints over which the
-    envelope is constant: a step size too large for the gains.
+    (`_settle_step`).  It ends at the last step, or with ``settle_exit`` once
+    settled if the rest of its run is a fixed gradient flow: no noise and no
+    detuning.  Raises IntegrationDivergedError, naming the row's seed, if a
+    phase becomes non-finite, or if a fixed gradient flow's Lyapunov value
+    rises by more than 1e-6 per edge and step between two checkpoints over
+    which the envelope is constant: a step size too large for the gains.
     """
     n = graph.num_vertices
     rates = np.full(len(seeds), params.detuning) if detunings is None else np.array(detunings, float)
@@ -283,105 +285,87 @@ def integrate_block(
     if not wrap_phases(theta):
         raise ValueError("non-finite initial phase")
     edges = _BlockEdges(graph, len(seeds))
-    num_edges = graph.num_edges
     kc, ks_max, nph, dt = params.coupling_gain, params.shil_gain_max, params.n_phases, params.dt
     steps = int(round(params.t_max / dt))
     ckpt_every = max(1, int(round(CHECKPOINT_STRIDE / dt)))
-    noise = params.noise_amplitude
-    rngs = [np.random.default_rng([seed, 1]) for seed in seeds] if noise > 0 else None
-    noise_std = noise * np.sqrt(dt)
+    rngs = [np.random.default_rng([seed, 1]) for seed in seeds] if params.noise_amplitude else None
+    noise_std = params.noise_amplitude * np.sqrt(dt)
     # rows whose run is a fixed gradient flow, which descends the Lyapunov
     # function while the envelope is constant
-    flows = (rates == 0) & (noise == 0)
-    exits = flows & settle_exit
-    rise_tol = 1e-6 * num_edges * ckpt_every
-    settled_at = np.full(len(seeds), np.nan)
-    # each row's last checkpoint, filled in as the row ends
-    end_time, end_lyap, end_rate = (np.empty(len(seeds)) for _ in range(3))
-    end_phases = np.empty((len(seeds), n))
-    end_spins = np.empty((len(seeds), n), dtype=np.int64)
+    flows = (rates == 0) & (rngs is None)
 
-    # block indices of the rows still running, in the order of the arrays below
-    rows = np.arange(len(seeds))
+    # block indices of the rows still running, in the order of the arrays
+    # below: per running row its settle time, spins, settle count and
+    # Lyapunov value at the last checkpoint (at time t_prev)
+    rows, settled_at = np.arange(len(seeds)), np.full(len(seeds), np.nan)
+    t_prev = spins = counts = lyap = None
     # one rate per running row, None if no row is detuned (only fixed
     # gradient flows leave a block early, so a detuned row stays to the end)
     detuning = rates if rates.any() else None
-    # the last checkpoint's time, and per running row its spins, settle count
-    # and Lyapunov value
-    t_prev = spins = counts = lyap = None
 
     def f(theta: np.ndarray, t: float) -> np.ndarray:
         return _rhs_core(theta, t, edges, kc, ks_max * schedule.envelope(t), nph, detuning)
 
-    def constant(t_a: float, t_b: float) -> bool:
-        """Whether the envelope is constant from t_a to t_b: it is 0 on
-        [0, t_on), and at t_on it is already 1 when the ramp is 0."""
-        return t_b < schedule.t_on or t_a >= schedule.ramp_end
-
-    # overflow to inf is caught by wrap_phases, so silence the intermediate
-    # numpy warnings it would spray first
+    # overflow to inf is caught by wrap_phases, so silence numpy's warnings first; never across
+    # a yield, as numpy keeps this state in a context variable that the caller shares
     with np.errstate(over="ignore", invalid="ignore"):
         k1 = f(theta, 0.0)
-        for i in range(steps + 1):
-            t = i * dt
-            if i % ckpt_every == 0 or i == steps:
-                # k1 is the velocity at this checkpoint; the phases are a copy
-                # (the steps update theta in place) with one run per row,
-                # C-contiguous, so row sums have their lone bits
-                phases = theta.T.copy()
-                max_rate = np.abs(k1).max(axis=0)
-                prev_spins, spins = spins, quantize(phases, nph)
-                counts, settled = _settle_step(counts, prev_spins, spins, max_rate, t,
-                                               schedule.ramp_end)
-                settled &= np.isnan(settled_at[rows])
-                settled_at[rows[settled]] = t
-                # every running row ends at the last step
-                ends = settled & exits[rows] | (i == steps)
-                lyap_prev, lyap = lyap, lyapunov(graph, phases, kc, ks_max * schedule.envelope(t), nph)
-                # a flow's Lyapunov value is checked against the last
-                # checkpoint's while the envelope is constant
-                if t_prev is not None and constant(t_prev, t):
-                    risen = flows[rows] & (lyap > lyap_prev + rise_tol)
-                    if risen.any():
-                        k = np.argmax(risen)
-                        raise IntegrationDivergedError(
-                            f"run with seed {seeds[rows[k]]}: Lyapunov value rose from "
-                            f"{lyap_prev[k]:g} to {lyap[k]:g} between t={t_prev:g} and t={t:g} "
-                            "cycles (reduce dt or the gains)"
-                        )
-                if record is not None:
-                    record(rows, Checkpoint(np.full(len(rows), t), phases, lyap, spins, max_rate))
-                done = rows[ends]
-                end_time[done], end_lyap[done], end_rate[done] = t, lyap[ends], max_rate[ends]
-                end_phases[done], end_spins[done] = phases[ends], spins[ends]
-                t_prev = t
-                if ends.all():
-                    break
-                if ends.any():
-                    keep = ~ends
-                    rows, spins, counts, lyap = (a[keep] for a in (rows, spins, counts, lyap))
-                    theta, k1 = theta[:, keep], k1[:, keep]
-                    detuning = None if detuning is None else detuning[keep]
-                    edges.resize(len(rows))
-            # the RK4 stages, in place and in the operation order of
-            # theta + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4), so with its bits
-            x = k1 * (0.5 * dt)
-            k2 = f(np.add(x, theta, out=x), t + 0.5 * dt)
-            k3 = f(np.add(np.multiply(k2, 0.5 * dt, out=x), theta, out=x), t + 0.5 * dt)
-            k4 = f(np.add(np.multiply(k3, dt, out=x), theta, out=x), t + dt)
-            acc = np.add(k1, np.multiply(k2, 2.0, out=k2), out=k2)
-            acc += np.multiply(k3, 2.0, out=k3)
-            acc += k4
-            acc *= dt / 6.0
-            theta += acc
-            if rngs is not None:
-                theta += np.stack([rngs[r].normal(0.0, noise_std, n) for r in rows], axis=1)
-            if not wrap_phases(theta):
-                seed = seeds[rows[np.argmin(np.isfinite(theta).all(axis=0))]]
-                raise IntegrationDivergedError(
-                    f"run with seed {seed}: non-finite phase at t={(i + 1) * dt:g} cycles "
-                    "(reduce dt or the gains)"
-                )
-            # the next step's k1 is also the velocity a checkpoint there reports
-            k1 = f(theta, (i + 1) * dt)
-    return Checkpoint(end_time, end_phases, end_lyap, end_spins, end_rate), settled_at
+    start = stop = 0
+    while True:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(start, stop):
+                # the RK4 stages, in place and in the operation order of
+                # theta + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4), so with its bits
+                t = i * dt
+                x = k1 * (0.5 * dt)
+                k2 = f(np.add(x, theta, out=x), t + 0.5 * dt)
+                k3 = f(np.add(np.multiply(k2, 0.5 * dt, out=x), theta, out=x), t + 0.5 * dt)
+                k4 = f(np.add(np.multiply(k3, dt, out=x), theta, out=x), t + dt)
+                acc = np.add(k1, np.multiply(k2, 2.0, out=k2), out=k2)
+                acc += np.multiply(k3, 2.0, out=k3)
+                acc += k4
+                acc *= dt / 6.0
+                theta += acc
+                if rngs is not None:
+                    theta += np.stack([rngs[r].normal(0.0, noise_std, n) for r in rows], axis=1)
+                if not wrap_phases(theta):
+                    seed = seeds[rows[np.argmin(np.isfinite(theta).all(axis=0))]]
+                    raise IntegrationDivergedError(
+                        f"run with seed {seed}: non-finite phase at t={(i + 1) * dt:g} cycles "
+                        "(reduce dt or the gains)")
+                # the next step's k1 is also the velocity a checkpoint there reports
+                k1 = f(theta, (i + 1) * dt)
+            # checkpoint: k1 is the velocity here; the phases are a C-contiguous copy (the steps
+            # update theta in place) with one run per row, so row sums have their lone bits
+            t = stop * dt
+            phases = theta.T.copy()
+            max_rate = np.abs(k1).max(axis=0)
+            prev_spins, spins = spins, quantize(phases, nph)
+            counts, settled = _settle_step(counts, prev_spins, spins, max_rate, t, schedule.ramp_end)
+            settled_at = np.where(settled & np.isnan(settled_at), t, settled_at)
+            lyap_prev, lyap = lyap, lyapunov(graph, phases, kc, ks_max * schedule.envelope(t), nph)
+            # a flow's Lyapunov value is checked against the last checkpoint's
+            # while the envelope is constant: it is 0 on [0, t_on), and at
+            # t_on it is already 1 when the ramp is 0
+            if t_prev is not None and (t < schedule.t_on or t_prev >= schedule.ramp_end):
+                risen = flows[rows] & (lyap > lyap_prev + 1e-6 * graph.num_edges * ckpt_every)
+                if risen.any():
+                    k = np.argmax(risen)
+                    raise IntegrationDivergedError(
+                        f"run with seed {seeds[rows[k]]}: Lyapunov value rose from "
+                        f"{lyap_prev[k]:g} to {lyap[k]:g} between t={t_prev:g} and t={t:g} "
+                        "cycles (reduce dt or the gains)")
+        yield rows, Checkpoint(t, phases, lyap, spins, max_rate, settled_at)
+        # every running row ends at the last step; a row that can exit has
+        # not settled before, or it would have left then
+        ends = settled & flows[rows] & settle_exit | (stop == steps)
+        if ends.all():
+            return
+        if ends.any():
+            keep = ~ends
+            rows, spins, counts, lyap, settled_at = (
+                a[keep] for a in (rows, spins, counts, lyap, settled_at))
+            theta, k1 = theta[:, keep], k1[:, keep]
+            detuning = None if detuning is None else detuning[keep]
+            edges.resize(len(rows))
+        t_prev, start, stop = t, stop, min(stop + ckpt_every, steps)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph_io import Graph
-from .potts import TWO_PI
+from .potts import TWO_PI, phase_count
 
 ENUMERATION_GUARD = 10_000_000
 
@@ -51,8 +51,7 @@ def enumerate_landscape(graph: Graph, n_phases: int) -> Landscape:
     absolute tolerance of 1e-9 * max(1, |E|), far below the spacing between
     distinct lattice energy levels.
     """
-    if n_phases < 2:
-        raise ValueError("n_phases must be >= 2")
+    n_phases = phase_count(n_phases)
     n_states = n_phases**graph.num_vertices
     _guard(n_states, "enumerate_landscape")
     # one array with axis i holding vertex i's spin; each edge adds

@@ -2,13 +2,15 @@
 
 A configuration of the machine lives in one of two spaces: discrete spins
 (an int array, one of N values per vertex) or continuous oscillator phases
-(a float array, radians in [0, 2*pi)); a 2-D array holds a block of them,
-one per row.  The functions here evaluate the discrete Potts energy, its
-continuous (vector) relaxation, and the global Lyapunov function that the
-phase dynamics descend.  Every edge is one unit repulsive coupling.
+(a float array, radians in [0, 2*pi]: see wrap_phases); a 2-D array holds a
+block of them, one per row.  The functions here evaluate the discrete Potts
+energy, its continuous (vector) relaxation, and the global Lyapunov function
+that the phase dynamics descend.  Every edge is one unit repulsive coupling.
 """
 from __future__ import annotations
 
+import numbers
+import operator
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -21,7 +23,8 @@ TWO_PI = 2.0 * np.pi
 
 def wrap_phases(theta: np.ndarray) -> bool:
     """``theta %= TWO_PI`` in place, with np.mod's bits except that -0.0
-    stays; False if a phase is not finite.
+    stays; False if a phase is not finite.  Like np.mod it maps a phase in
+    (-4.4e-16, 0) to 2*pi, so the range is [0, 2*pi] (`quantize` gives 0).
 
     After a step of the dynamics, phases lie in [-2*pi, 4*pi), where one
     subtraction or addition of 2*pi gives np.mod's bits at a fraction of its
@@ -40,6 +43,15 @@ def wrap_phases(theta: np.ndarray) -> bool:
     with np.errstate(invalid="ignore"):
         theta %= TWO_PI
     return bool(np.isfinite(theta).all())
+
+
+def phase_count(n_phases) -> int:
+    """`n_phases` as a Python int; a non-integral value, or one below 2, raises ValueError."""
+    if not isinstance(n_phases, numbers.Integral):
+        raise ValueError(f"n_phases must be an integer, got {n_phases!r}")
+    if n_phases < 2:
+        raise ValueError("n_phases must be >= 2")
+    return operator.index(n_phases)
 
 
 def _check_length(graph: Graph, n: int, what: str):

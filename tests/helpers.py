@@ -1,6 +1,7 @@
 """Test-only helpers: code that no pottsim command or report reaches."""
 from __future__ import annotations
 
+import collections
 import dataclasses
 from typing import Sequence
 
@@ -71,12 +72,15 @@ def lattice_phases(spins, n_phases: int) -> np.ndarray:
 def run_checkpoints(graph: Graph, init: np.ndarray, params: DynamicsParams,
                     schedule: ShilSchedule, seed: int = 0) -> Checkpoint:
     """Every checkpoint of one run of `integrate_block`, as one Checkpoint
-    whose row k is the run at its k-th checkpoint."""
-    seen: list[Checkpoint] = []
-    integrate_block(graph, [init], params, schedule, [seed],
-                    record=lambda rows, cp: seen.append(cp))
-    return Checkpoint(*(np.concatenate([getattr(cp, f.name) for cp in seen])
+    whose row k is the run at its k-th checkpoint (`time` an array too)."""
+    cps = [cp for _, cp in integrate_block(graph, [init], params, schedule, [seed])]
+    return Checkpoint(*(np.concatenate([np.atleast_1d(getattr(cp, f.name)) for cp in cps])
                         for f in dataclasses.fields(Checkpoint)))
+
+
+def last_checkpoint(stream):
+    """The last (rows, Checkpoint) pair of an `integrate_block` stream."""
+    return collections.deque(stream, maxlen=1).pop()
 
 
 def velocity(graph: Graph, phases: np.ndarray, kc: float, ks: float, n_phases: int) -> np.ndarray:

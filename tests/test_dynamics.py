@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from pottsim.dynamics import (
 )
 
 from conftest import random_colorable_graph
-from helpers import lattice_phases, run_checkpoints, velocity
+from helpers import last_checkpoint, lattice_phases, run_checkpoints, velocity
 from strategies import graphs
 
 # chi-square critical value, 35 degrees of freedom, significance 0.01
@@ -46,8 +47,8 @@ def gradient_fd(graph, phases, kc, ks, n_phases, h=1e-5):
 
 def solved_to_t_max(graph, params, sched, seeds) -> int:
     """Runs, stepped as one block to t_max, whose final coloring is proper."""
-    final, _ = integrate_block(graph, [random_init(graph.num_vertices, s) for s in seeds],
-                               params, sched, list(seeds))
+    _, final = last_checkpoint(integrate_block(
+        graph, [random_init(graph.num_vertices, s) for s in seeds], params, sched, list(seeds)))
     return int(np.sum(accuracy(graph, final.spins) == 1.0))
 
 
@@ -57,6 +58,10 @@ class TestParamsValidation:
             {"dt": 0.0},
             {"t_max": -1.0},
             {"n_phases": 1},
+            # n_phases must be integral, even as a float that is
+            {"n_phases": 3.0},
+            {"n_phases": np.float64(3.0)},
+            {"n_phases": 2.5},
             {"coupling_gain": -0.1},
             {"shil_gain_max": np.inf},
             {"noise_amplitude": -1.0},
@@ -70,6 +75,19 @@ class TestParamsValidation:
         ):
             with pytest.raises(ValueError):
                 DynamicsParams(**kwargs)
+
+    def test_settings_are_stored_as_python_numbers(self):
+        params = DynamicsParams(n_phases=np.int64(4), dt=np.float32(0.02), t_max=np.int64(10))
+        assert [type(v) for v in dataclasses.astuple(params)] == [float, float, int] + [float] * 4
+        assert params.dt == float(np.float32(0.02)) and params.t_max == 10.0
+        sched = ShilSchedule(t_on=np.float32(5), ramp=2)
+        assert [type(v) for v in dataclasses.astuple(sched)] == [float, float]
+        # a setting that is no real number is rejected
+        for kwargs in ({"dt": "0.02"}, {"coupling_gain": None}, {"detuning": 1j}):
+            with pytest.raises(TypeError, match="must be a real number"):
+                DynamicsParams(**kwargs)
+        with pytest.raises(TypeError, match="must be a real number"):
+            ShilSchedule(ramp="5")
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
@@ -196,21 +214,21 @@ class TestIntegrate:
         shifted[7] += TWO_PI
 
         def run(init) -> list[bytes]:
-            seen = []
-            final, settled_at = integrate_block(graph, [init], DynamicsParams(t_max=15.0),
-                                                ShilSchedule(), [1], settle_exit=True,
-                                                record=lambda rows, cp: seen.append(cp))
-            return [settled_at.tobytes()] + [getattr(cp, f.name).tobytes() for cp in [final, *seen]
-                                             for f in dataclasses.fields(Checkpoint)]
+            stream = integrate_block(graph, [init], DynamicsParams(t_max=15.0), ShilSchedule(),
+                                     [1], settle_exit=True)
+            return [np.asarray(getattr(cp, f.name)).tobytes() for _, cp in stream
+                    for f in dataclasses.fields(Checkpoint)]
 
         for init in (negative_zero, shifted):
             assert run(init) == run(np.mod(init, TWO_PI))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_init_is_rejected(self, k3, bad):
+        # the checks on the inputs run at the first next()
+        block = integrate_block(k3, [np.array([0.0, bad, 1.0])], DynamicsParams(t_max=1.0),
+                                ShilSchedule(), [0])
         with pytest.raises(ValueError, match="non-finite initial phase"):
-            integrate_block(k3, [np.array([0.0, bad, 1.0])], DynamicsParams(t_max=1.0),
-                            ShilSchedule(), [0])
+            next(block)
 
     @pytest.mark.parametrize("endpoint", [-1, 3])
     def test_out_of_range_endpoint_is_rejected(self, endpoint):
@@ -220,7 +238,7 @@ class TestIntegrate:
         graph.edges[1, 1] = endpoint
         state = np.array([0.0, 1.0, 2.0])
         with pytest.raises(ValueError, match="out of range"):
-            integrate_block(graph, [state], DynamicsParams(t_max=1.0), ShilSchedule(), [0])
+            next(integrate_block(graph, [state], DynamicsParams(t_max=1.0), ShilSchedule(), [0]))
         with pytest.raises(ValueError, match="out of range"):
             velocity(graph, state, 1.0, 1.0, 3)
 
@@ -401,19 +419,18 @@ class TestIntegrate:
         sched = ShilSchedule()
         for seed in range(3):
             init = random_init(20, seed)
-            early, full = [], []
-            final, [settle] = integrate_block(graph, [init], params, sched, [seed],
-                                              settle_exit=True,
-                                              record=lambda rows, cp: early.append(cp))
-            _, [full_settle] = integrate_block(graph, [init], params, sched, [seed],
-                                               record=lambda rows, cp: full.append(cp))
-            assert settle == final.time[0] == early[-1].time[0] == full_settle
+            early = [cp for _, cp in integrate_block(graph, [init], params, sched, [seed],
+                                                     settle_exit=True)]
+            full = [cp for _, cp in integrate_block(graph, [init], params, sched, [seed])]
+            [settle] = early[-1].settled_at
+            assert settle == early[-1].time == full[-1].settled_at[0]
             assert sched.ramp_end <= settle < params.t_max
             # stopping early changes nothing before the exit
             assert len(early) < len(full)
             for a, b in zip(early, full):
-                assert a.time[0] == b.time[0] and a.max_rate[0] == b.max_rate[0]
+                assert a.time == b.time and a.max_rate[0] == b.max_rate[0]
                 assert np.array_equal(a.phases, b.phases)
+                assert np.array_equal(a.settled_at, b.settled_at, equal_nan=True)
 
     @pytest.mark.parametrize("params, sched", [
         (DynamicsParams(noise_amplitude=1e-4, t_max=30.0), ShilSchedule()),
@@ -421,13 +438,11 @@ class TestIntegrate:
     ], ids=["noise", "detuning"])
     def test_settle_exit_needs_a_fixed_gradient_flow(self, params, sched):
         graph = random_colorable_graph(20, 40, seed=5)
-        checkpoints = []
-        final, [settle] = integrate_block(graph, [random_init(20, 1)], params, sched, [1],
-                                          settle_exit=True,
-                                          record=lambda rows, cp: checkpoints.append(cp))
-        assert final.time[0] == checkpoints[-1].time[0] == pytest.approx(params.t_max)
+        _, final = last_checkpoint(integrate_block(graph, [random_init(20, 1)], params, sched,
+                                                   [1], settle_exit=True))
+        assert final.time == pytest.approx(params.t_max)
         # the settle rule held well before t_max, so only the gate kept it running
-        assert settle < params.t_max - 5.0
+        assert final.settled_at[0] < params.t_max - 5.0
 
     @pytest.mark.parametrize("params, sched", [
         (DynamicsParams(t_max=12.0), ShilSchedule()),
@@ -438,21 +453,22 @@ class TestIntegrate:
         # bits of potts.lyapunov and potts.quantize on that row alone
         graph = random_colorable_graph(30, 66, seed=4)
         seeds = [3, 4, 5, 6, 7]
-        recorded = []
-        integrate_block(graph, [random_init(30, s) for s in seeds], params, sched,
-                        seeds, record=lambda rows, cp: recorded.append((rows, cp)))
+        recorded = list(integrate_block(graph, [random_init(30, s) for s in seeds], params,
+                                        sched, seeds))
         alone = run_checkpoints(graph, random_init(30, 3), params, sched, seed=3)
         # row 0 of the block is the run alone, checkpoint for checkpoint
         assert len(recorded) == len(alone.time)
         for k, (rows, a) in enumerate(recorded):
             assert rows[0] == 0
-            assert ((a.time[0], a.lyapunov[0], a.max_rate[0])
+            assert ((a.time, a.lyapunov[0], a.max_rate[0])
                     == (alone.time[k], alone.lyapunov[k], alone.max_rate[k]))
             assert a.phases[0].tobytes() == alone.phases[k].tobytes()
+            assert a.settled_at[0].tobytes() == alone.settled_at[k].tobytes()
             assert np.array_equal(a.spins[0], alone.spins[k])
         # every row's Lyapunov value and coloring are those of the row alone
         for cp in [cp for _, cp in recorded] + [alone]:
-            for time, phases, lyap, spins in zip(cp.time, cp.phases, cp.lyapunov, cp.spins,
+            times = np.broadcast_to(cp.time, cp.lyapunov.shape)
+            for time, phases, lyap, spins in zip(times, cp.phases, cp.lyapunov, cp.spins,
                                                  strict=True):
                 ks_now = params.shil_gain_max * sched.envelope(time)
                 assert lyap == lyapunov(graph, phases, params.coupling_gain, ks_now,
@@ -460,36 +476,47 @@ class TestIntegrate:
                 assert np.array_equal(spins, quantize(phases, params.n_phases))
         assert sum(len(rows) for rows, _ in recorded) == len(seeds) * len(alone.time)
 
-    def test_record_gets_the_running_rows_at_strictly_increasing_times(self):
-        # rows that settle leave the block, so later checkpoints record fewer
-        # rows; each row's last recorded checkpoint is the one returned
+    def test_yields_the_running_rows_at_strictly_increasing_times(self):
+        # rows that settle leave the block, so later checkpoints hold fewer
+        # rows; each row's last checkpoint is the one at which it settled
         graph = random_colorable_graph(20, 40, seed=5)
         seeds = [0, 1, 2, 3]
-        recorded = []
-        final, settled_at = integrate_block(graph, [random_init(20, s) for s in seeds],
-                                            DynamicsParams(t_max=40.0), ShilSchedule(), seeds,
-                                            settle_exit=True,
-                                            record=lambda rows, cp: recorded.append((rows, cp)))
-        times = [cp.time[0] for _, cp in recorded]
+        recorded = list(integrate_block(graph, [random_init(20, s) for s in seeds],
+                                        DynamicsParams(t_max=40.0), ShilSchedule(), seeds,
+                                        settle_exit=True))
+        times = [cp.time for _, cp in recorded]
         assert all(b > a for a, b in zip(times, times[1:]))
         for rows, cp in recorded:
-            assert np.all(cp.time == cp.time[0])
-            assert (len(rows) == len(cp.phases) == len(cp.lyapunov)
-                    == len(cp.spins) == len(cp.max_rate))
+            assert (len(rows) == len(cp.phases) == len(cp.lyapunov) == len(cp.spins)
+                    == len(cp.max_rate) == len(cp.settled_at))
         assert [len(rows) for rows, _ in recorded] != [len(seeds)] * len(recorded)
         for r in range(len(seeds)):
-            rows, cp = [(rows, cp) for rows, cp in recorded if r in rows][-1]
-            k = list(rows).index(r)
-            assert cp.time[k] == final.time[r] == settled_at[r]
-            assert (cp.lyapunov[k], cp.max_rate[k]) == (final.lyapunov[r], final.max_rate[r])
-            assert cp.phases[k].tobytes() == final.phases[r].tobytes()
-            assert np.array_equal(cp.spins[k], final.spins[r])
+            seen = [(cp.time, cp.settled_at[list(rows).index(r)])
+                    for rows, cp in recorded if r in rows]
+            assert seen[-1][0] == seen[-1][1]
+            assert all(np.isnan(at) for _, at in seen[:-1])
+
+    def test_a_suspended_block_keeps_the_callers_error_state(self, k3):
+        # the block ignores overflow and invalid values in its own steps
+        # only: numpy keeps that setting in a context variable, so a block
+        # suspended at a checkpoint, or abandoned there, leaves the caller's
+        # in force
+        params = DynamicsParams(t_max=2.0)
+        with np.errstate(over="raise", invalid="raise"):
+            mine = np.geterr()
+            block = integrate_block(k3, [random_init(3, seed=0)], params, ShilSchedule(), [0])
+            for _ in range(2):
+                next(block)
+                assert np.geterr() == mine
+            del block
+            gc.collect()
+            assert np.geterr() == mine
 
 
 def lattice_checkpoint(time: float, spins: list[int], max_rate: float) -> Checkpoint:
     """A one-row block of three-phase spins at their lattice point."""
-    return Checkpoint(np.array([time]), lattice_phases([spins], 3), np.array([-1.0]),
-                      np.array([spins]), np.array([max_rate]))
+    return Checkpoint(time, lattice_phases([spins], 3), np.array([-1.0]), np.array([spins]),
+                      np.array([max_rate]), np.array([np.nan]))
 
 
 def constant_checkpoints(spins: list[int], count: int, stride: float = 0.5) -> list[Checkpoint]:
@@ -501,11 +528,10 @@ def first_settle(checkpoints: list[Checkpoint], settle_from: float):
     one-row block reports a settle."""
     counts = spins = None
     for cp in checkpoints:
-        counts, settled = _settle_step(counts, spins, cp.spins, cp.max_rate,
-                                       cp.time[0], settle_from)
+        counts, settled = _settle_step(counts, spins, cp.spins, cp.max_rate, cp.time, settle_from)
         spins = cp.spins
         if settled[0]:
-            return cp.time[0]
+            return cp.time
     return None
 
 

@@ -78,6 +78,17 @@ class TestEnumerateLandscape:
         assert scape.num_global_minima == scape.num_local_minima == 1000
         assert scape.min_energy == pytest.approx(-1.0)
 
+    def test_n_phases_must_be_an_integer(self, k3):
+        # the rule DynamicsParams applies: an integral numpy scalar is
+        # accepted, a float is not, even an integral one
+        a, b = enumerate_landscape(k3, np.int64(3)), enumerate_landscape(k3, 3)
+        assert a.energies.tobytes() == b.energies.tobytes()
+        assert (a.n_states, a.num_local_minima) == (b.n_states, b.num_local_minima) == (27, 6)
+        assert type(a.n_states) is int
+        for bad in (3.0, np.float64(3.0), 2.5):
+            with pytest.raises(ValueError, match="n_phases must be an integer"):
+                enumerate_landscape(k3, bad)
+
     def test_size_guard(self):
         graph = Graph(15, [(0, 1)])
         with pytest.raises(ValueError, match="guard"):

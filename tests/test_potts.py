@@ -260,6 +260,15 @@ class TestWrapPhases:
         block = np.array([xs, xs[::-1]])
         assert wrapped(block + 0.0).tobytes() == np.mod(block, TWO_PI).tobytes()
 
+    def test_range_is_closed_at_two_pi(self):
+        # a phase in (-4.4e-16, 0) wraps to exactly 2*pi, as np.mod gives it,
+        # so the phases lie in [0, 2*pi]; 2*pi rounds to spin 0, as 0.0 does
+        theta = wrapped([-1e-17, 1.0])
+        assert theta[0] == TWO_PI == 6.283185307179586
+        assert theta.tobytes() == np.mod(np.array([-1e-17, 1.0]), TWO_PI).tobytes()
+        for n_phases in range(2, 6):
+            assert quantize(theta, n_phases)[0] == quantize(np.array([0.0]), n_phases)[0] == 0
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_is_reported(self, bad):
         assert not wrap_phases(np.array([1.0, bad, 2 * TWO_PI]))

@@ -27,7 +27,7 @@ from pottsim.solver import (
 )
 
 from conftest import random_colorable_graph
-from helpers import bootstrap_mean_diff
+from helpers import bootstrap_mean_diff, last_checkpoint
 from strategies import graphs
 
 FAST = DynamicsParams(t_max=20.0)
@@ -60,13 +60,13 @@ class TestSolveOnce:
         for seed in range(6):
             record = run_alone(graph, params, SCHED, seed=seed)
             # the same run to t_max, without the settle exit
-            final, [settled_at] = integrate_block(
-                graph, [random_init(30, seed)], params, SCHED, [seed])
-            assert final.time[0] == pytest.approx(params.t_max)
+            _, final = last_checkpoint(integrate_block(
+                graph, [random_init(30, seed)], params, SCHED, [seed]))
+            assert final.time == pytest.approx(params.t_max)
             assert record.cycles < params.t_max  # the run did stop early
             assert [record.accuracy] == accuracy(graph, final.spins).tolist()
             assert [record.delta_energy] == delta_energy(graph, final.spins).tolist()
-            assert record.cycles == settled_at
+            assert [record.cycles] == final.settled_at.tolist()
 
     def test_deterministic_per_seed(self):
         graph = random_colorable_graph(15, 30, seed=0)
@@ -157,12 +157,14 @@ class TestLockstepBlocks:
             """Each row's time, Lyapunov value, settle time (None if unsettled)
             and phase bytes at its end."""
             row_seeds, rates = zip(*block)
-            final, settled_at = integrate_block(
-                graph, [random_init(graph.num_vertices, s) for s in row_seeds],
-                shared[1], SCHED, row_seeds, rates, settle_exit=True)
-            return [(t, lyap, None if np.isnan(at) else at, phases.tobytes())
-                    for t, lyap, at, phases in zip(final.time.tolist(), final.lyapunov.tolist(),
-                                                   settled_at.tolist(), final.phases)]
+            ends = {}
+            for rows, cp in integrate_block(
+                    graph, [random_init(graph.num_vertices, s) for s in row_seeds],
+                    shared[1], SCHED, row_seeds, rates, settle_exit=True):
+                for r, lyap, at, phases in zip(rows, cp.lyapunov.tolist(),
+                                               cp.settled_at.tolist(), cp.phases):
+                    ends[r] = (cp.time, lyap, None if np.isnan(at) else at, phases.tobytes())
+            return [ends[r] for r in range(len(block))]
 
         ends = [end for block in split(rows, cuts) for end in run(block)]
         assert ends == [end for row in rows for end in run([row])]
@@ -326,6 +328,18 @@ class TestReports:
         assert effective_config(FAST, SCHED, 5, 2)["convergence"] == {
             "window": dynamics.CONVERGENCE_WINDOW, "eps": dynamics.CONVERGENCE_EPS,
         }
+
+    def test_numpy_settings_serialize(self):
+        # settings given as numpy scalars run and report as the Python
+        # numbers they stand for
+        graph = random_colorable_graph(12, 24, seed=3)
+        params = DynamicsParams(n_phases=np.int64(3), dt=np.float32(0.02), t_max=10.0)
+        report = solve_multi(graph, params, ShilSchedule(t_on=np.float32(5)), iterations=2,
+                             base_seed=0)
+        doc = json.loads(report_json(report))
+        assert doc["params"]["dynamics"]["n_phases"] == 3
+        assert doc["params"]["dynamics"]["dt"] == float(np.float32(0.02))
+        assert doc["params"]["schedule"]["t_on"] == 5.0
 
     def test_config_survives_json(self, report):
         cfg = json.loads(json.dumps(report.params))
