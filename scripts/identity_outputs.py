@@ -67,6 +67,11 @@ def commands(dest: Path) -> list[tuple[str, list[str], str | None]]:
                               "--jobs", "2"], ".json") for n in (2, 4)]
     cmds += [
         ("solve_one_row", ["solve", flat_200, "--iters", "1"], ".json"),
+        # a SHIL envelope off its defaults reaches the steps, the rise check and the header
+        ("solve_t_on1_ramp0", ["solve", flat_30, "--iters", "5", "--t-on", "1", "--ramp", "0",
+                               "--jobs", "2"], ".json"),
+        ("detune_t_on0_ramp2", ["detune", flat_30, "--iters", "1", "--deltas", "0,30",
+                                "--t-on", "0", "--ramp", "2"], ".csv"),
         ("detune_json", ["detune", flat_30, "--iters", "2", "--format", "json", "--jobs", "2"],
          ".json"),
         # fails: the coupling-unstable run's Lyapunov value rises

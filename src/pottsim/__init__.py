@@ -9,7 +9,7 @@ The package root exports the library entry points; everything else lives in
 its submodule (`graph_io`, `potts`, `dynamics`, `solver`, `oracle`, `cli`).
 """
 from .graph_io import gen_planted, parse_dimacs, planted_sidecar, write_dimacs
-from .dynamics import DynamicsParams, ShilSchedule
+from .dynamics import DynamicsParams
 from .solver import solve_multi
 
 __version__ = "0.1.0"

@@ -17,11 +17,10 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .dynamics import DynamicsParams, IntegrationDivergedError, ShilSchedule
+from .dynamics import DynamicsParams, IntegrationDivergedError
 from .graph_io import DimacsError, gen_planted, parse_dimacs, planted_sidecar, write_dimacs
 from .oracle import enumerate_landscape
 from .solver import (
-    TABLE_CHUNK_ROWS,
     AblationMode,
     detune_protocol_params,
     detune_sweep,
@@ -35,10 +34,12 @@ from .solver import (
 DEFAULT_DELTAS = "0,10,-10,30,-30,80,-80,150,-150,300,-300"
 BENCH_COLUMNS = ("benchmark", "iterations", "mean_cycles", "num_converged",
                  "avg_accuracy", "best_accuracy")
+# Lines per text chunk of a landscape table's rows (_energy_chunks).
+TABLE_CHUNK_ROWS = 65536
 
 
 def _add_dynamics_flags(p: argparse.ArgumentParser):
-    """Each flag's dest is the DynamicsParams or ShilSchedule field it sets."""
+    """Each flag's dest is the DynamicsParams field it sets."""
     p.add_argument("--kc", type=float, default=None, dest="coupling_gain", metavar="KC",
                    help="coupling gain")
     p.add_argument("--ks", type=float, default=None, dest="shil_gain_max", metavar="KS",
@@ -62,13 +63,9 @@ def _add_run_flags(p: argparse.ArgumentParser, default_iters: int = 100):
     p.add_argument("--out", type=Path, default=None, help="output path (stdout if omitted)")
 
 
-def _build_settings(args, base: DynamicsParams | None = None) -> tuple[DynamicsParams, ShilSchedule]:
-    def given(cls) -> dict:
-        values = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(cls)}
-        return {name: val for name, val in values.items() if val is not None}
-
-    base = base if base is not None else DynamicsParams()
-    return dataclasses.replace(base, **given(DynamicsParams)), ShilSchedule(**given(ShilSchedule))
+def _build_settings(args, base: DynamicsParams = DynamicsParams()) -> DynamicsParams:
+    given = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(DynamicsParams)}
+    return dataclasses.replace(base, **{name: val for name, val in given.items() if val is not None})
 
 
 def _write_chunks(path: Path, chunks: Iterable[str]):
@@ -118,9 +115,9 @@ def _emit(chunks: Iterable[str], out: Path | None):
 
 def _cmd_solve(args) -> int:
     graph = parse_dimacs(args.file.read_text())
-    params, schedule = _build_settings(args)
+    params = _build_settings(args)
     report = solve_multi(
-        graph, params, schedule, args.iters, args.seed,
+        graph, params, args.iters, args.seed,
         benchmark=args.file.stem, jobs=args.jobs, mode=getattr(args, "mode", None),
     )
     _emit([report_json(report) if args.format == "json" else report_csv(report)], args.out)
@@ -131,16 +128,16 @@ def _cmd_bench(args) -> int:
     files = sorted(args.directory.glob("*.col"), key=lambda p: p.name)
     if not files:
         raise ValueError(f"no .col files in {args.directory}")
-    params, schedule = _build_settings(args)
+    params = _build_settings(args)
     rows = []
     for path in files:
         graph = parse_dimacs(path.read_text())
-        r = solve_multi(graph, params, schedule, args.iters, args.seed,
+        r = solve_multi(graph, params, args.iters, args.seed,
                         benchmark=path.stem, jobs=args.jobs)
         rows.append((r.benchmark, r.num_runs, r.mean_cycles, r.num_converged,
                      r.avg_accuracy, r.best_accuracy))
-    cfg = effective_config(params, schedule, args.iters, args.seed)
-    _emit(table_text({"params": cfg}, BENCH_COLUMNS, rows, args.format), args.out)
+    cfg = effective_config(params, args.iters, args.seed)
+    _emit([table_text({"params": cfg}, BENCH_COLUMNS, rows, args.format)], args.out)
     return 0
 
 
@@ -149,7 +146,7 @@ def _cmd_landscape(args) -> int:
     scape = enumerate_landscape(graph, args.n_phases)
     head = table_text({"benchmark": args.file.stem, "n_phases": args.n_phases},
                       ("index", "energy"), ())
-    _emit(itertools.chain(head, _energy_chunks(scape.energies)), args.out)
+    _emit(itertools.chain([head], _energy_chunks(scape.energies)), args.out)
     print(
         f"{args.file.stem}: {scape.n_states} states, min energy {scape.min_energy:.6g}, "
         f"{scape.num_global_minima} global minima, {scape.num_local_minima} local minima",
@@ -180,16 +177,16 @@ def _energy_chunks(energies: np.ndarray) -> Iterator[str]:
 
 def _cmd_detune(args) -> int:
     graph = parse_dimacs(args.file.read_text())
-    params, schedule = _build_settings(args, base=detune_protocol_params())
+    params = _build_settings(args, base=detune_protocol_params())
     if params.detuning != 0:
         # each run's rate comes from --deltas, so the header must not claim another
         raise ValueError("detune sets each run's detuning from --deltas; --detune must be 0")
     deltas = [float(tok) for tok in args.deltas.split(",") if tok.strip()]
-    sweep = detune_sweep(graph, params, schedule, deltas, args.iters,
+    sweep = detune_sweep(graph, params, deltas, args.iters,
                          base_seed=args.seed, jobs=args.jobs)
-    cfg = effective_config(params, schedule, args.iters, args.seed)
-    _emit(table_text({"benchmark": args.file.stem, "params": cfg},
-                     ("delta", "mean_deviation_deg"), sweep, args.format), args.out)
+    cfg = effective_config(params, args.iters, args.seed)
+    _emit([table_text({"benchmark": args.file.stem, "params": cfg},
+                      ("delta", "mean_deviation_deg"), sweep, args.format)], args.out)
     return 0
 
 

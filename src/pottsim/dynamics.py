@@ -7,11 +7,14 @@ by gradient descent of the Lyapunov function in `potts.lyapunov`:
                   - K_s(t) * sin(N * theta_i - delta * t)
 
 where j runs over the neighbours of i: every edge is one unit repulsive
-coupling.  The SHIL gain K_s(t) follows a schedule (off until t_on, then a
-linear ramp to its peak, held to the end), so the graph couplings act first
-and the N-phase discretization engages afterwards.  A nonzero detuning rate
-`delta` rotates the SHIL lattice, modelling a stimulus frequency slightly off
-the exact N-th harmonic.  Time is measured in natural oscillator cycles.
+coupling.  The SHIL gain K_s(t) is shil_gain_max times the envelope of
+`DynamicsParams` (off until t_on, then a linear ramp over `ramp` cycles to
+its peak, held to the end), so the graph couplings act first and the N-phase
+discretization engages afterwards.  One DynamicsParams holds every setting of
+a run: gains, noise, detuning, step, horizon and envelope.  A nonzero
+detuning rate `delta` rotates the SHIL lattice, modelling a stimulus
+frequency slightly off the exact N-th harmonic.  Time is measured in natural
+oscillator cycles.
 """
 from __future__ import annotations
 
@@ -44,23 +47,17 @@ class IntegrationDivergedError(RuntimeError):
     value rose under a fixed gradient flow (step size too large for the gains)."""
 
 
-def _store_numbers(settings, ints: tuple[str, ...] = ()):
-    """Store each field of a frozen dataclass as a Python float, or for the names in
-    `ints` as an int (`potts.phase_count`), so that every accepted value serializes."""
-    for f in fields(settings):
-        val = getattr(settings, f.name)
-        if not isinstance(val, numbers.Real):
-            raise TypeError(f"{f.name} must be a real number, got {val!r}")
-        object.__setattr__(settings, f.name, phase_count(val) if f.name in ints else float(val))
-
-
 @dataclass(frozen=True)
 class DynamicsParams:
-    """Gains, noise, detuning and integration grid for one machine run.
+    """Gains, noise, detuning, integration grid and SHIL envelope for one machine run.
 
-    Defaults are the documented operating point: coupling and SHIL strengths
-    balanced so the SHIL neither dominates the couplings nor fails to
-    discretize, dt well inside the RK4 stability region for those gains.
+    The envelope is 0 until t_on, a linear ramp over `ramp` cycles, then 1; a
+    run without SHIL sets t_on beyond t_max or the gain to 0.  Defaults are the
+    documented operating point: coupling and SHIL strengths balanced so the
+    SHIL neither dominates the couplings nor fails to discretize, dt well
+    inside the RK4 stability region for those gains.  Each field is stored as
+    a Python float (`n_phases` as an int, `potts.phase_count`), so every
+    accepted value serializes.
     """
 
     coupling_gain: float = 1.0
@@ -70,10 +67,17 @@ class DynamicsParams:
     detuning: float = 0.0
     dt: float = 0.02
     t_max: float = 50.0
+    t_on: float = 5.0
+    ramp: float = 5.0
 
     def __post_init__(self):
-        _store_numbers(self, ints=("n_phases",))
-        for name in ("coupling_gain", "shil_gain_max", "noise_amplitude", "t_max"):
+        for f in fields(self):
+            val = getattr(self, f.name)
+            if not isinstance(val, numbers.Real):
+                raise TypeError(f"{f.name} must be a real number, got {val!r}")
+            val = phase_count(val) if f.name == "n_phases" else float(val)
+            object.__setattr__(self, f.name, val)
+        for name in ("coupling_gain", "shil_gain_max", "noise_amplitude", "t_max", "t_on", "ramp"):
             if not 0 <= getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and >= 0")
         if not -np.inf < self.detuning < np.inf:
@@ -85,21 +89,6 @@ class DynamicsParams:
                              f"stability limit {RK4_REAL_STABILITY} (reduce dt or the SHIL gain)")
         if not np.isfinite(max(self.t_max, CHECKPOINT_STRIDE) / self.dt):
             raise ValueError(f"dt = {self.dt:g} is too small: the step count must be finite")
-
-
-@dataclass(frozen=True)
-class ShilSchedule:
-    """Envelope of the SHIL stimulus: 0 until t_on, a linear ramp over `ramp`
-    cycles, then 1.  A run without SHIL sets t_on beyond t_max or the gain to 0.
-    """
-
-    t_on: float = 5.0
-    ramp: float = 5.0
-
-    def __post_init__(self):
-        _store_numbers(self)
-        if not (0 <= self.t_on < np.inf and 0 <= self.ramp < np.inf):
-            raise ValueError("t_on and ramp must be finite and >= 0")
 
     @property
     def ramp_end(self) -> float:
@@ -245,7 +234,6 @@ def integrate_block(
     graph: Graph,
     inits: Sequence[np.ndarray],
     params: DynamicsParams,
-    schedule: ShilSchedule,
     seeds: Sequence[int],
     detunings: Optional[Sequence[float]] = None,
     settle_exit: bool = False,
@@ -255,11 +243,11 @@ def integrate_block(
     Checkpoint, every round(CHECKPOINT_STRIDE / dt) steps and at the last
     step; a row's last checkpoint is its end.
 
-    Every row shares ``params`` and ``schedule``; row r starts from
-    ``inits[r]`` with seed ``seeds[r]`` and rate ``detunings[r]`` (None: every
-    row at ``params.detuning``).  The rows form the columns of one (n, rows)
-    phase array, and each row's every step has the bits it has alone.  The
-    initial phases are taken mod 2*pi with np.mod's bits; a non-finite one
+    Every row shares ``params``; row r starts from ``inits[r]`` with seed
+    ``seeds[r]`` and rate ``detunings[r]`` (None: every row at
+    ``params.detuning``).  The rows form the columns of one (n, rows) phase
+    array, and each row's every step has the bits it has alone.  The initial
+    phases are taken mod 2*pi with np.mod's bits; a non-finite one
     raises ValueError, as every input check does, at the first ``next()``.
     Noise of std ``noise_amplitude * sqrt(dt)`` per step comes from a stream
     derived from the row's seed.  Phases are wrapped to [0, 2*pi] after every
@@ -304,7 +292,7 @@ def integrate_block(
     detuning = rates if rates.any() else None
 
     def f(theta: np.ndarray, t: float) -> np.ndarray:
-        return _rhs_core(theta, t, edges, kc, ks_max * schedule.envelope(t), nph, detuning)
+        return _rhs_core(theta, t, edges, kc, ks_max * params.envelope(t), nph, detuning)
 
     # overflow to inf is caught by wrap_phases, so silence numpy's warnings first; never across
     # a yield, as numpy keeps this state in a context variable that the caller shares
@@ -341,13 +329,13 @@ def integrate_block(
             phases = theta.T.copy()
             max_rate = np.abs(k1).max(axis=0)
             prev_spins, spins = spins, quantize(phases, nph)
-            counts, settled = _settle_step(counts, prev_spins, spins, max_rate, t, schedule.ramp_end)
+            counts, settled = _settle_step(counts, prev_spins, spins, max_rate, t, params.ramp_end)
             settled_at = np.where(settled & np.isnan(settled_at), t, settled_at)
-            lyap_prev, lyap = lyap, lyapunov(graph, phases, kc, ks_max * schedule.envelope(t), nph)
+            lyap_prev, lyap = lyap, lyapunov(graph, phases, kc, ks_max * params.envelope(t), nph)
             # a flow's Lyapunov value is checked against the last checkpoint's
             # while the envelope is constant: it is 0 on [0, t_on), and at
             # t_on it is already 1 when the ramp is 0
-            if t_prev is not None and (t < schedule.t_on or t_prev >= schedule.ramp_end):
+            if t_prev is not None and (t < params.t_on or t_prev >= params.ramp_end):
                 risen = flows[rows] & (lyap > lyap_prev + 1e-6 * graph.num_edges * ckpt_every)
                 if risen.any():
                     k = np.argmax(risen)

@@ -37,11 +37,14 @@ class Landscape:
             raise ValueError("minima counts inconsistent")
 
 
-def _guard(n_states: float, what: str):
+def _guard(n_phases: int, num_vertices: int, what: str) -> int:
+    """The state count N^V, or ValueError beyond the guard.  The message writes
+    the count as a power: it can be too large to convert to a float."""
+    n_states = n_phases**num_vertices
     if n_states > ENUMERATION_GUARD:
-        raise ValueError(
-            f"{what}: {n_states:.3g} states exceeds the enumeration guard of {ENUMERATION_GUARD}"
-        )
+        raise ValueError(f"{what}: {n_phases}^{num_vertices} states exceeds "
+                         f"the enumeration guard of {ENUMERATION_GUARD}")
+    return n_states
 
 
 def enumerate_landscape(graph: Graph, n_phases: int) -> Landscape:
@@ -52,8 +55,7 @@ def enumerate_landscape(graph: Graph, n_phases: int) -> Landscape:
     distinct lattice energy levels.
     """
     n_phases = phase_count(n_phases)
-    n_states = n_phases**graph.num_vertices
-    _guard(n_states, "enumerate_landscape")
+    n_states = _guard(n_phases, graph.num_vertices, "enumerate_landscape")
     # one array with axis i holding vertex i's spin; each edge adds
     # costab[(s_u - s_v) % N] on axes u and v, in edge order and with u < v
     # as Graph stores it (cos(2*pi*k/N) and cos(2*pi*(N-k)/N) differ in bits)

@@ -15,7 +15,7 @@ import enum
 import json
 import sys
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .dynamics import (
     CONVERGENCE_EPS,
     CONVERGENCE_WINDOW,
     DynamicsParams,
-    ShilSchedule,
     integrate_block,
     random_init,
 )
@@ -31,8 +30,6 @@ from .graph_io import Graph
 from .potts import TWO_PI, accuracy, delta_energy, lattice_deviation, quantize, vector_energy
 
 HISTOGRAM_BINS = 100
-# Lines per text chunk of a table (table_text); a smaller table is one chunk.
-TABLE_CHUNK_ROWS = 65536
 # Restarts per lockstep block (dynamics.integrate_block), on every graph.  The
 # rows of a block share the per-call overhead of the RHS.  CPU seconds of
 # solver._run_task (two runs each, 2 vCPUs on a shared host): 40 restarts on
@@ -106,17 +103,19 @@ class SolveReport:
 
 def effective_config(
     params: DynamicsParams,
-    schedule: ShilSchedule,
     iterations: int,
     base_seed: int,
     mode: Optional[AblationMode] = None,
 ) -> dict:
-    """Self-describing configuration block embedded in every report."""
+    """Self-describing configuration block embedded in every report: the SHIL
+    envelope's fields form its "schedule" block, the others its "dynamics"."""
+    dynamics = dataclasses.asdict(params)
+    schedule = {name: dynamics.pop(name) for name in ("t_on", "ramp")}
     cfg = {
         "iterations": iterations,
         "base_seed": base_seed,
-        "dynamics": dataclasses.asdict(params),
-        "schedule": dataclasses.asdict(schedule),
+        "dynamics": dynamics,
+        "schedule": schedule,
         "convergence": {"window": CONVERGENCE_WINDOW, "eps": CONVERGENCE_EPS},
     }
     if mode is not None:
@@ -125,12 +124,12 @@ def effective_config(
 
 
 def _run_task(block: tuple) -> list[RunRecord]:
-    """A block ((graph, params, schedule, mode), seeds) of restarts, stepped in
+    """A block ((graph, params, mode), seeds) of restarts, stepped in
     lockstep until each has settled (or to t_max), and scored as one block;
     records in seed order.  A row's record does not depend on its block, so a
     block of one seed is the restart run alone.  Mode none scores the
     quantized initial states instead."""
-    (graph, params, schedule, mode), seeds = block
+    (graph, params, mode), seeds = block
     inits = [random_init(graph.num_vertices, seed) for seed in seeds]
     if mode is AblationMode.NONE:
         # each spin's lattice phase stands for the run's final phase
@@ -140,7 +139,7 @@ def _run_task(block: tuple) -> list[RunRecord]:
         # each row's last checkpoint is its end
         shape = (len(seeds), graph.num_vertices)
         phases, spins, settled_at = np.empty(shape), np.empty(shape, np.int64), np.empty(len(seeds))
-        for rows, cp in integrate_block(graph, inits, params, schedule, seeds, settle_exit=True):
+        for rows, cp in integrate_block(graph, inits, params, seeds, settle_exit=True):
             phases[rows], spins[rows], settled_at[rows] = cp.phases, cp.spins, cp.settled_at
     columns = (accuracy(graph, spins), delta_energy(graph, spins),
                vector_energy(graph, phases), settled_at)
@@ -206,7 +205,6 @@ def _run_batch(task, shared: tuple, rows: Sequence, jobs: int) -> list:
 def solve_multi(
     graph: Graph,
     params: DynamicsParams,
-    schedule: ShilSchedule,
     iterations: int,
     base_seed: int,
     benchmark: str = "",
@@ -222,9 +220,9 @@ def solve_multi(
     mode, full included, is recorded in the report's params.
     """
     mode = None if mode is None else AblationMode(mode)
-    records = _run_batch(_run_task, (graph, _params_for_mode(params, mode), schedule, mode),
+    records = _run_batch(_run_task, (graph, _params_for_mode(params, mode), mode),
                          range(base_seed, base_seed + iterations), jobs)
-    cfg = effective_config(params, schedule, iterations, base_seed, mode=mode)
+    cfg = effective_config(params, iterations, base_seed, mode=mode)
     return _aggregate(benchmark, cfg, records)
 
 
@@ -235,12 +233,12 @@ def detune_protocol_params() -> DynamicsParams:
 
 def _detune_task(block: tuple) -> list[float]:
     """Mean lattice deviation (radians) at t_max of each row of a block
-    ((graph, params, schedule), (seed, delta) rows), stepped in lockstep."""
-    (graph, params, schedule), rows = block
+    ((graph, params), (seed, delta) rows), stepped in lockstep."""
+    (graph, params), rows = block
     seeds, deltas = zip(*rows)
     inits = [random_init(graph.num_vertices, seed) for seed in seeds]
     # no settle exit: every row runs to t_max, and the last checkpoint holds them all
-    for _, last in integrate_block(graph, inits, params, schedule, seeds, deltas):
+    for _, last in integrate_block(graph, inits, params, seeds, deltas):
         pass
     offset = (np.array(deltas) * last.time)[:, None]
     # the deviations are C-contiguous, so each row's mean has its lone bits
@@ -250,7 +248,6 @@ def _detune_task(block: tuple) -> list[float]:
 def detune_sweep(
     graph: Graph,
     params: DynamicsParams,
-    schedule: ShilSchedule,
     deltas: Sequence[float],
     iterations: int,
     base_seed: int = 0,
@@ -268,7 +265,7 @@ def detune_sweep(
     if not np.isfinite(deltas).all():
         raise ValueError("detuning must be finite")
     rows = [(base_seed + i, float(delta)) for delta in deltas for i in range(iterations)]
-    devs = _run_batch(_detune_task, (graph, params, schedule), rows, jobs)
+    devs = _run_batch(_detune_task, (graph, params), rows, jobs)
     return [
         (float(delta), float(np.degrees(np.mean(devs[k * iterations:(k + 1) * iterations]))))
         for k, delta in enumerate(deltas)
@@ -300,24 +297,18 @@ def report_json(report: SolveReport) -> str:
 
 def report_csv(report: SolveReport) -> str:
     """One row per run, with the configuration embedded as a comment line."""
-    return "".join(table_text({"benchmark": report.benchmark, "params": report.params},
-                              [f.name for f in dataclasses.fields(RunRecord)],
-                              [dataclasses.astuple(r) for r in report.runs]))
+    return table_text({"benchmark": report.benchmark, "params": report.params},
+                      [f.name for f in dataclasses.fields(RunRecord)],
+                      [dataclasses.astuple(r) for r in report.runs])
 
 
-def table_text(head: dict, columns: Sequence[str], rows, fmt: str = "csv") -> Iterator[str]:
-    """Every pottsim table, from tuples of Python scalars, as text chunks.  CSV:
-    `# ` + `head` as JSON, the column names, one line per row of str() cells (a
-    float's repr; None is empty), TABLE_CHUNK_ROWS lines to a chunk.  JSON, one
-    chunk: `head`'s keys and "rows", one {column: value} each."""
+def table_text(head: dict, columns: Sequence[str], rows, fmt: str = "csv") -> str:
+    """Every pottsim table, from tuples of Python scalars, as text.  CSV: `# ` +
+    `head` as JSON, the column names, one line per row of str() cells (a float's
+    repr; None is empty).  JSON: `head`'s keys and "rows", one {column: value}
+    each."""
     if fmt == "json":
-        yield json.dumps({**head, "rows": [dict(zip(columns, row)) for row in rows]}, indent=2) + "\n"
-        return
+        return json.dumps({**head, "rows": [dict(zip(columns, row)) for row in rows]}, indent=2) + "\n"
     lines = ["# " + json.dumps(head), ",".join(columns)]
-    for row in rows:
-        lines.append(",".join("" if x is None else str(x) for x in row))
-        if len(lines) == TABLE_CHUNK_ROWS:
-            yield "\n".join(lines) + "\n"
-            lines = []
-    if lines:
-        yield "\n".join(lines) + "\n"
+    lines += (",".join("" if x is None else str(x) for x in row) for row in rows)
+    return "\n".join(lines) + "\n"

@@ -7,8 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from pottsim.dynamics import (Checkpoint, DynamicsParams, ShilSchedule, _BlockEdges, _rhs_core,
-                              integrate_block)
+from pottsim.dynamics import Checkpoint, DynamicsParams, _BlockEdges, _rhs_core, integrate_block
 from pottsim.graph_io import Graph
 from pottsim.oracle import _guard
 from pottsim.potts import TWO_PI
@@ -53,7 +52,7 @@ def _spin_chunks(num_vertices: int, n_phases: int):
 
 def count_proper_colorings(graph: Graph, k: int) -> int:
     """Exact number of proper k-colorings, by enumeration (guarded to 10^7)."""
-    _guard(k**graph.num_vertices, "count_proper_colorings")
+    _guard(k, graph.num_vertices, "count_proper_colorings")
     u, v = graph.edge_arrays()
     total = 0
     for _, spins in _spin_chunks(graph.num_vertices, k):
@@ -70,10 +69,10 @@ def lattice_phases(spins, n_phases: int) -> np.ndarray:
 
 
 def run_checkpoints(graph: Graph, init: np.ndarray, params: DynamicsParams,
-                    schedule: ShilSchedule, seed: int = 0) -> Checkpoint:
+                    seed: int = 0) -> Checkpoint:
     """Every checkpoint of one run of `integrate_block`, as one Checkpoint
     whose row k is the run at its k-th checkpoint (`time` an array too)."""
-    cps = [cp for _, cp in integrate_block(graph, [init], params, schedule, [seed])]
+    cps = [cp for _, cp in integrate_block(graph, [init], params, [seed])]
     return Checkpoint(*(np.concatenate([np.atleast_1d(getattr(cp, f.name)) for cp in cps])
                         for f in dataclasses.fields(Checkpoint)))
 

@@ -12,7 +12,7 @@ import json
 import numpy as np
 import pytest
 
-from pottsim import DynamicsParams, ShilSchedule, solve_multi
+from pottsim import DynamicsParams, solve_multi
 from pottsim.graph_io import Graph
 from pottsim.potts import accuracy, lyapunov, quantize
 from pottsim.dynamics import random_init
@@ -42,7 +42,6 @@ FLAT_NAMES = [
     "flat_200_479-1",
 ]
 DEFAULTS = DynamicsParams()
-SCHEDULE = ShilSchedule()
 
 
 def emit(num: int, name: str, ok: bool, detail: str = ""):
@@ -57,7 +56,7 @@ def emit(num: int, name: str, ok: bool, detail: str = ""):
 def flat_reports():
     return {
         name: solve_multi(
-            load_benchmark(name), DEFAULTS, SCHEDULE, ITERATIONS, BASE_SEED,
+            load_benchmark(name), DEFAULTS, ITERATIONS, BASE_SEED,
             benchmark=name, jobs=JOBS,
         )
         for name in FLAT_NAMES
@@ -67,7 +66,7 @@ def flat_reports():
 @pytest.fixture(scope="module")
 def rnd1000_report():
     return solve_multi(
-        load_benchmark("rnd_1000"), DEFAULTS, SCHEDULE, ITERATIONS, BASE_SEED,
+        load_benchmark("rnd_1000"), DEFAULTS, ITERATIONS, BASE_SEED,
         benchmark="rnd_1000", jobs=JOBS,
     )
 
@@ -76,7 +75,7 @@ def rnd1000_report():
 def ablation_reports():
     graph = load_benchmark("flat_200_479-1")
     return {
-        mode: solve_multi(graph, DEFAULTS, SCHEDULE, ITERATIONS, BASE_SEED,
+        mode: solve_multi(graph, DEFAULTS, ITERATIONS, BASE_SEED,
                           benchmark="flat_200_479-1", jobs=JOBS, mode=mode)
         for mode in AblationMode
     }
@@ -112,7 +111,7 @@ def test_criterion_2_size_robustness(flat_reports, rnd1000_report):
 def zero_detune_deviation(params: DynamicsParams) -> float:
     """Mean distance (degrees) from the final phases to the nearest lattice phase."""
     graph = load_benchmark("flat_200_479-1")
-    [(_, dev)] = detune_sweep(graph, params, SCHEDULE, [0.0], iterations=20,
+    [(_, dev)] = detune_sweep(graph, params, [0.0], iterations=20,
                               base_seed=BASE_SEED, jobs=JOBS)
     return dev
 
@@ -208,15 +207,14 @@ def test_criterion_5_dynamics_correctness():
 
     # noise-free Lyapunov descent on constant-envelope segments
     descent_ok = True
-    sched = ShilSchedule(t_on=5.0, ramp=5.0)
     for trial in range(20):
         n = 12 + trial
         graph = random_colorable_graph(n, 2 * n, seed=800 + trial)
-        params = DynamicsParams(t_max=30.0)
-        cps = run_checkpoints(graph, random_init(n, seed=trial), params, sched, seed=trial)
+        params = DynamicsParams(t_max=30.0, t_on=5.0, ramp=5.0)
+        cps = run_checkpoints(graph, random_init(n, seed=trial), params, seed=trial)
         steps = int(round((cps.time[1] - cps.time[0]) / params.dt))
         tol = 1e-6 * graph.num_edges * steps
-        constant = (cps.time[1:] <= sched.t_on) | (cps.time[:-1] >= sched.t_on + sched.ramp)
+        constant = (cps.time[1:] <= params.t_on) | (cps.time[:-1] >= params.t_on + params.ramp)
         descent_ok &= bool(np.all(cps.lyapunov[1:][constant] <= cps.lyapunov[:-1][constant] + tol))
 
     # quantization round-trip, every spin, N in 2..8
@@ -237,7 +235,7 @@ def test_criterion_5_dynamics_correctness():
 def test_criterion_6_detuning():
     graph = load_benchmark("flat_200_479-1")
     deltas = [0.0, 10.0, -10.0, 30.0, -30.0, 80.0, -80.0, 150.0, -150.0, 300.0, -300.0]
-    sweep = dict(detune_sweep(graph, detune_protocol_params(), SCHEDULE, deltas,
+    sweep = dict(detune_sweep(graph, detune_protocol_params(), deltas,
                               iterations=10, base_seed=BASE_SEED, jobs=JOBS))
     by_mag = {
         mag: float(np.mean([sweep[d] for d in deltas if abs(d) == mag]))

@@ -12,8 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pottsim import (DynamicsParams, ShilSchedule, cli, gen_planted, parse_dimacs, solver,
-                     write_dimacs)
+from pottsim import DynamicsParams, cli, gen_planted, parse_dimacs, solver, write_dimacs
 from pottsim.potts import accuracy
 from pottsim.cli import main
 from pottsim.solver import detune_protocol_params, effective_config, table_text
@@ -254,6 +253,14 @@ class TestLandscapeCommand:
         assert len(lines) == 29  # config + header + 27 states
         assert float(lines[2].split(",")[1]) == pytest.approx(-1.5)
 
+    def test_state_count_beyond_float_range_is_one_error_line(self, capsys):
+        # 3^1000 states do not convert to a float, so the guard's message must not try
+        rc = main(["landscape", str(BENCH_DIR / "rnd_1000.col")])
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == ""
+        assert err.splitlines() == [
+            "error: enumerate_landscape: 3^1000 states exceeds the enumeration guard of 10000000"]
+
     def test_energy_chunks_are_the_table_rows(self, monkeypatch):
         # runs of equal energies cross chunk ends; -0.0 and 0.0 are one value
         # to the sort but print differently
@@ -261,8 +268,8 @@ class TestLandscapeCommand:
         monkeypatch.setattr(cli, "TABLE_CHUNK_ROWS", 7)
         chunks = list(cli._energy_chunks(energies))
         assert [c.count("\n") for c in chunks] == [7, 7, 7, 7, 7]
-        head, = table_text({}, ("index", "energy"), ())
-        table, = table_text({}, ("index", "energy"), enumerate(energies.tolist()))
+        head = table_text({}, ("index", "energy"), ())
+        table = table_text({}, ("index", "energy"), enumerate(energies.tolist()))
         assert head + "".join(chunks) == table
 
     def test_guard_size_streams_in_bounded_memory(self, seven_col):
@@ -380,13 +387,13 @@ class TestDetuneCommand:
         assert plain.read_bytes() == zero.read_bytes()
 
 
-FAST_CONFIG = effective_config(DynamicsParams(t_max=15.0), ShilSchedule(), 3, 0)
+FAST_CONFIG = effective_config(DynamicsParams(t_max=15.0), 3, 0)
 RUN_COLUMNS = ["seed", "accuracy", "delta_energy", "vector_energy", "cycles"]
 BENCH_COLUMNS = ["benchmark", "iterations", "mean_cycles", "num_converged",
                  "avg_accuracy", "best_accuracy"]
 DETUNE_FLAGS = ["--iters", "1", "--deltas", "0,30", "--t-max", "2"]
 DETUNE_HEAD = {"benchmark": "tiny", "params": effective_config(
-    dataclasses.replace(detune_protocol_params(), t_max=2.0), ShilSchedule(), 1, 0)}
+    dataclasses.replace(detune_protocol_params(), t_max=2.0), 1, 0)}
 
 
 @pytest.mark.parametrize("argv, fmt, head, columns, num_rows", [
@@ -430,6 +437,27 @@ def test_every_table_speaks_one_dialect(tmp_path, argv, fmt, head, columns, num_
     if argv[0] == "ablate":
         # mode none scores the initial states, so no run has a cycle count
         assert [row[-1] for row in cells] == [""] * num_rows
+
+
+# The first line of a table, byte for byte: key order included, which the
+# dialect test's comparison of parsed dicts misses.
+@pytest.mark.parametrize("argv, header", [
+    (["solve", *FAST_FLAGS, "--format", "csv"],
+     '# {"benchmark": "tiny", "params": {"iterations": 3, "base_seed": 0, "dynamics": '
+     '{"coupling_gain": 1.0, "shil_gain_max": 2.0, "n_phases": 3, "noise_amplitude": 0.0, '
+     '"detuning": 0.0, "dt": 0.02, "t_max": 15.0}, "schedule": {"t_on": 5.0, "ramp": 5.0}, '
+     '"convergence": {"window": 5, "eps": 0.001}}}'),
+    (["detune", *DETUNE_FLAGS],
+     '# {"benchmark": "tiny", "params": {"iterations": 1, "base_seed": 0, "dynamics": '
+     '{"coupling_gain": 1.0, "shil_gain_max": 60.0, "n_phases": 3, "noise_amplitude": 0.0, '
+     '"detuning": 0.0, "dt": 0.008, "t_max": 2.0}, "schedule": {"t_on": 5.0, "ramp": 5.0}, '
+     '"convergence": {"window": 5, "eps": 0.001}}}'),
+], ids=["solve-csv", "detune"])
+def test_table_header_bytes(tiny_col, tmp_path, argv, header):
+    out = tmp_path / "table.csv"
+    command, *flags = argv
+    assert main([command, str(tiny_col), *flags, "--out", str(out)]) == 0
+    assert out.read_text().split("\n")[0] == header
 
 
 class TestGenCommand:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pottsim import DynamicsParams, ShilSchedule, dynamics
+from pottsim import DynamicsParams, dynamics
 from pottsim.graph_io import Graph
 from pottsim.potts import TWO_PI, accuracy, lattice_deviation, lyapunov, quantize
 from pottsim.dynamics import (
@@ -45,10 +45,10 @@ def gradient_fd(graph, phases, kc, ks, n_phases, h=1e-5):
     return grad
 
 
-def solved_to_t_max(graph, params, sched, seeds) -> int:
+def solved_to_t_max(graph, params, seeds) -> int:
     """Runs, stepped as one block to t_max, whose final coloring is proper."""
     _, final = last_checkpoint(integrate_block(
-        graph, [random_init(graph.num_vertices, s) for s in seeds], params, sched, list(seeds)))
+        graph, [random_init(graph.num_vertices, s) for s in seeds], params, list(seeds)))
     return int(np.sum(accuracy(graph, final.spins) == 1.0))
 
 
@@ -78,35 +78,33 @@ class TestParamsValidation:
 
     def test_settings_are_stored_as_python_numbers(self):
         params = DynamicsParams(n_phases=np.int64(4), dt=np.float32(0.02), t_max=np.int64(10))
-        assert [type(v) for v in dataclasses.astuple(params)] == [float, float, int] + [float] * 4
+        assert [type(v) for v in dataclasses.astuple(params)] == [float, float, int] + [float] * 6
         assert params.dt == float(np.float32(0.02)) and params.t_max == 10.0
-        sched = ShilSchedule(t_on=np.float32(5), ramp=2)
-        assert [type(v) for v in dataclasses.astuple(sched)] == [float, float]
+        params = DynamicsParams(t_on=np.float32(5), ramp=2)
+        assert (type(params.t_on), type(params.ramp)) == (float, float)
         # a setting that is no real number is rejected
-        for kwargs in ({"dt": "0.02"}, {"coupling_gain": None}, {"detuning": 1j}):
+        for kwargs in ({"dt": "0.02"}, {"coupling_gain": None}, {"detuning": 1j}, {"ramp": "5"}):
             with pytest.raises(TypeError, match="must be a real number"):
                 DynamicsParams(**kwargs)
-        with pytest.raises(TypeError, match="must be a real number"):
-            ShilSchedule(ramp="5")
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
-            ShilSchedule(t_on=-1.0)
+            DynamicsParams(t_on=-1.0)
         with pytest.raises(TypeError):
-            ShilSchedule(mode="square")
+            DynamicsParams(mode="square")
         for kwargs in ({"t_on": np.nan}, {"t_on": np.inf}, {"ramp": np.nan}, {"ramp": np.inf}):
             with pytest.raises(ValueError, match="finite"):
-                ShilSchedule(**kwargs)
+                DynamicsParams(**kwargs)
 
 
 class TestEnvelope:
     def test_ramp_profile(self):
-        sched = ShilSchedule(t_on=2.0, ramp=4.0)
-        assert sched.envelope(0.0) == 0.0
-        assert sched.envelope(1.99) == 0.0
-        assert sched.envelope(4.0) == pytest.approx(0.5)
-        assert sched.envelope(6.0) == 1.0
-        assert sched.envelope(100.0) == 1.0
+        params = DynamicsParams(t_on=2.0, ramp=4.0)
+        assert params.envelope(0.0) == 0.0
+        assert params.envelope(1.99) == 0.0
+        assert params.envelope(4.0) == pytest.approx(0.5)
+        assert params.envelope(6.0) == 1.0
+        assert params.envelope(100.0) == 1.0
 
 
 class TestRhs:
@@ -200,7 +198,7 @@ class TestIntegrate:
     def test_zero_horizon_keeps_initial_checkpoint(self, k3):
         params = DynamicsParams(t_max=0.0)
         init = random_init(3, seed=0)
-        cps = run_checkpoints(k3, init, params, ShilSchedule(), seed=0)
+        cps = run_checkpoints(k3, init, params, seed=0)
         assert len(cps.time) == 1
         assert cps.time[0] == 0.0
         assert np.array_equal(cps.phases[0], init)
@@ -214,8 +212,8 @@ class TestIntegrate:
         shifted[7] += TWO_PI
 
         def run(init) -> list[bytes]:
-            stream = integrate_block(graph, [init], DynamicsParams(t_max=15.0), ShilSchedule(),
-                                     [1], settle_exit=True)
+            stream = integrate_block(graph, [init], DynamicsParams(t_max=15.0), [1],
+                                     settle_exit=True)
             return [np.asarray(getattr(cp, f.name)).tobytes() for _, cp in stream
                     for f in dataclasses.fields(Checkpoint)]
 
@@ -225,8 +223,7 @@ class TestIntegrate:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_init_is_rejected(self, k3, bad):
         # the checks on the inputs run at the first next()
-        block = integrate_block(k3, [np.array([0.0, bad, 1.0])], DynamicsParams(t_max=1.0),
-                                ShilSchedule(), [0])
+        block = integrate_block(k3, [np.array([0.0, bad, 1.0])], DynamicsParams(t_max=1.0), [0])
         with pytest.raises(ValueError, match="non-finite initial phase"):
             next(block)
 
@@ -238,29 +235,27 @@ class TestIntegrate:
         graph.edges[1, 1] = endpoint
         state = np.array([0.0, 1.0, 2.0])
         with pytest.raises(ValueError, match="out of range"):
-            next(integrate_block(graph, [state], DynamicsParams(t_max=1.0), ShilSchedule(), [0]))
+            next(integrate_block(graph, [state], DynamicsParams(t_max=1.0), [0]))
         with pytest.raises(ValueError, match="out of range"):
             velocity(graph, state, 1.0, 1.0, 3)
 
     def test_k3_solves_nearly_always(self, k3):
         # the 27-state landscape has no improper local minima, so the flow
         # should land on a proper coloring from almost every start
-        params = DynamicsParams(shil_gain_max=2.0, t_max=40.0)
-        sched = ShilSchedule(t_on=5.0, ramp=5.0)
-        assert solved_to_t_max(k3, params, sched, range(100)) >= 95
+        params = DynamicsParams(shil_gain_max=2.0, t_max=40.0, t_on=5.0, ramp=5.0)
+        assert solved_to_t_max(k3, params, range(100)) >= 95
 
     def test_lyapunov_descends_without_noise(self):
         # gradient flow: L non-increasing while the SHIL envelope is constant
-        sched = ShilSchedule(t_on=5.0, ramp=5.0)
         for trial in range(20):
             n = 10 + trial
             graph = random_colorable_graph(n, 2 * n, seed=100 + trial)
-            params = DynamicsParams(t_max=30.0)
-            cps = run_checkpoints(graph, random_init(n, seed=trial), params, sched, seed=trial)
+            params = DynamicsParams(t_max=30.0, t_on=5.0, ramp=5.0)
+            cps = run_checkpoints(graph, random_init(n, seed=trial), params, seed=trial)
             steps_per_stride = int(round((cps.time[1] - cps.time[0]) / params.dt))
             tol = 1e-6 * graph.num_edges * steps_per_stride
             a, b = cps.time[:-1], cps.time[1:]
-            constant_envelope = (b <= sched.t_on) | (a >= sched.t_on + sched.ramp)
+            constant_envelope = (b <= params.t_on) | (a >= params.t_on + params.ramp)
             lyap_a, lyap_b = cps.lyapunov[:-1], cps.lyapunov[1:]
             assert np.all(lyap_b[constant_envelope] <= lyap_a[constant_envelope] + tol)
 
@@ -274,9 +269,9 @@ class TestIntegrate:
         dt=st.one_of(st.sampled_from([0.01, 0.02, 0.05, 0.1]), st.floats(0.005, 0.1)),
         # the first three switch the SHIL on, the last two leave the couplings
         # alone to t_max
-        sched=st.sampled_from([ShilSchedule(t_on=1.0, ramp=1.0), ShilSchedule(t_on=0.0, ramp=0.0),
-                               ShilSchedule(t_on=1.0, ramp=0.0), ShilSchedule(t_on=8.0, ramp=1.0),
-                               ShilSchedule(t_on=10.0, ramp=0.0)]),
+        sched=st.sampled_from([dict(t_on=1.0, ramp=1.0), dict(t_on=0.0, ramp=0.0),
+                               dict(t_on=1.0, ramp=0.0), dict(t_on=8.0, ramp=1.0),
+                               dict(t_on=10.0, ramp=0.0)]),
         seed=st.integers(0, 1000),
     )
     def test_unflagged_flow_descends_lyapunov(self, graph, kc, ks_share, n_phases, dt, sched, seed):
@@ -285,20 +280,19 @@ class TestIntegrate:
         # within test_lyapunov_descends_without_noise's tolerance
         ks = ks_share * 2.78 / (dt * n_phases)
         params = DynamicsParams(coupling_gain=kc, shil_gain_max=ks, n_phases=n_phases,
-                                dt=dt, t_max=6.0)
+                                dt=dt, t_max=6.0, **sched)
         # bound on the Hessian of the Lyapunov function (Gershgorin)
         degree = np.bincount(np.concatenate(graph.edge_arrays()), minlength=graph.num_vertices).max()
         stiffness = 2 * degree * kc + n_phases * ks
         try:
-            cps = run_checkpoints(graph, random_init(graph.num_vertices, seed), params, sched,
-                                  seed=seed)
+            cps = run_checkpoints(graph, random_init(graph.num_vertices, seed), params, seed=seed)
         except IntegrationDivergedError as err:
             assert f"seed {seed}:" in str(err)
             # a step this small against the flow's stiffness descends
             assert dt * stiffness > 0.5
             return
         tol = 1e-6 * graph.num_edges * int(round((cps.time[1] - cps.time[0]) / dt))
-        constant = (cps.time[1:] < sched.t_on) | (cps.time[:-1] >= sched.ramp_end)
+        constant = (cps.time[1:] < params.t_on) | (cps.time[:-1] >= params.ramp_end)
         assert np.all(cps.lyapunov[1:][constant] <= cps.lyapunov[:-1][constant] + tol)
 
     def test_well_switched_on_whole_is_not_a_rise(self):
@@ -307,45 +301,44 @@ class TestIntegrate:
         # raises the Lyapunov value of about half the seeds there; the flow
         # itself is stable
         graph = random_colorable_graph(20, 40, seed=5)
+        params = DynamicsParams(t_max=6.0, t_on=5.0, ramp=0.0)
         for seed in range(8):
-            run_checkpoints(graph, random_init(20, seed), DynamicsParams(t_max=6.0),
-                            ShilSchedule(t_on=5.0, ramp=0.0), seed=seed)
+            run_checkpoints(graph, random_init(20, seed), params, seed=seed)
 
     @pytest.mark.parametrize("sched", [
-        ShilSchedule(),
-        ShilSchedule(t_on=0.0, ramp=0.0),
-        ShilSchedule(t_on=20.0, ramp=0.0),
+        {},
+        {"t_on": 0.0, "ramp": 0.0},
+        {"t_on": 20.0, "ramp": 0.0},
     ], ids=["before-t_on", "after-ramp", "never-on"])
     def test_rising_lyapunov_raises_with_seed(self, k4, sched):
         # K_c = 40 at dt = 0.05: the couplings alone overshoot every step,
         # yet the phases stay finite because they are wrapped mod 2*pi
-        params = DynamicsParams(coupling_gain=40.0, dt=0.05, t_max=10.0)
+        params = DynamicsParams(coupling_gain=40.0, dt=0.05, t_max=10.0, **sched)
         with pytest.raises(IntegrationDivergedError, match="seed 3: Lyapunov value rose"):
-            run_checkpoints(k4, random_init(4, seed=3), params, sched, seed=3)
+            run_checkpoints(k4, random_init(4, seed=3), params, seed=3)
 
-    @pytest.mark.parametrize("params, sched", [
-        (DynamicsParams(noise_amplitude=0.3, t_max=30.0), ShilSchedule()),
-        (DynamicsParams(detuning=0.5, t_max=30.0), ShilSchedule()),
+    @pytest.mark.parametrize("params", [
+        DynamicsParams(noise_amplitude=0.3, t_max=30.0),
+        DynamicsParams(detuning=0.5, t_max=30.0),
     ], ids=["noise", "detuning"])
-    def test_rise_check_needs_a_fixed_gradient_flow(self, params, sched):
+    def test_rise_check_needs_a_fixed_gradient_flow(self, params):
         # noise kicks and the rotating lattice each raise the Lyapunov value
         # of a stable run, so these runs are not checked
         graph = random_colorable_graph(20, 40, seed=5)
-        cps = run_checkpoints(graph, random_init(20, 1), params, sched, seed=1)
+        cps = run_checkpoints(graph, random_init(20, 1), params, seed=1)
         assert cps.time[-1] == pytest.approx(params.t_max)
         tol = 1e-6 * graph.num_edges * int(round((cps.time[1] - cps.time[0]) / params.dt))
-        after_ramp = cps.time[:-1] >= sched.ramp_end
+        after_ramp = cps.time[:-1] >= params.ramp_end
         assert np.any(cps.lyapunov[1:][after_ramp] > cps.lyapunov[:-1][after_ramp] + tol)
 
     def test_equivariant_under_lattice_rotation(self):
         graph = random_colorable_graph(12, 24, seed=2)
         params = DynamicsParams(t_max=20.0)
-        sched = ShilSchedule()
         init = random_init(12, seed=3)
         shift = 2 * np.pi / 3
         rotated = init + shift
-        base = run_checkpoints(graph, init, params, sched, seed=3)
-        rot = run_checkpoints(graph, rotated, params, sched, seed=3)
+        base = run_checkpoints(graph, init, params, seed=3)
+        rot = run_checkpoints(graph, rotated, params, seed=3)
         assert np.array_equal(base.time, rot.time)
         mismatch = np.angle(np.exp(1j * (rot.phases - base.phases - shift)))
         assert np.allclose(mismatch, 0.0, atol=1e-8)
@@ -356,18 +349,17 @@ class TestIntegrate:
         graph = Graph(8, np.empty((0, 2), dtype=int))
         start = lattice_phases(coloring, 3)
         bumped = start + rng.uniform(-0.9, 0.9, 8)  # < pi/3
-        params = DynamicsParams(coupling_gain=0.0, t_max=20.0)
-        cps = run_checkpoints(graph, bumped, params, ShilSchedule(t_on=0.0, ramp=0.0), seed=0)
+        params = DynamicsParams(coupling_gain=0.0, t_max=20.0, t_on=0.0, ramp=0.0)
+        cps = run_checkpoints(graph, bumped, params, seed=0)
         assert np.array_equal(cps.spins[-1], coloring)
         assert np.max(lattice_deviation(cps.phases, 3)[-1]) < 1e-6
 
     def test_deviation_shrinks_as_shil_dominates(self):
         graph = random_colorable_graph(20, 40, seed=3)
-        sched = ShilSchedule()
         devs = []
         for gain in (0.5, 1.0, 2.0, 4.0, 8.0):
             params = DynamicsParams(shil_gain_max=gain, dt=0.01, t_max=60.0)
-            cps = run_checkpoints(graph, random_init(20, seed=8), params, sched, seed=8)
+            cps = run_checkpoints(graph, random_init(20, seed=8), params, seed=8)
             devs.append(float(np.mean(lattice_deviation(cps.phases, 3)[-1])))
         assert all(b <= a + 1e-9 for a, b in zip(devs, devs[1:]))
 
@@ -380,33 +372,32 @@ class TestIntegrate:
         graph = Graph(30, sorted(edges))
         # two-phase wells are stiffer than three-phase ones, so give the
         # couplings a longer ramp before the discretization bites
-        params = DynamicsParams(n_phases=2, t_max=50.0)
-        sched = ShilSchedule(t_on=5.0, ramp=15.0)
-        assert solved_to_t_max(graph, params, sched, range(100)) >= 90
+        params = DynamicsParams(n_phases=2, t_max=50.0, t_on=5.0, ramp=15.0)
+        assert solved_to_t_max(graph, params, range(100)) >= 90
 
     def test_noise_is_seeded(self):
         graph = random_colorable_graph(10, 20, seed=1)
         params = DynamicsParams(noise_amplitude=0.3, t_max=5.0)
         init = random_init(10, seed=4)
-        a = run_checkpoints(graph, init, params, ShilSchedule(), seed=4)
-        b = run_checkpoints(graph, init, params, ShilSchedule(), seed=4)
-        c = run_checkpoints(graph, init, params, ShilSchedule(), seed=5)
+        a = run_checkpoints(graph, init, params, seed=4)
+        b = run_checkpoints(graph, init, params, seed=4)
+        c = run_checkpoints(graph, init, params, seed=5)
         assert np.array_equal(a.phases[-1], b.phases[-1])
         assert not np.array_equal(a.phases[-1], c.phases[-1])
 
     def test_divergence_raises_with_time(self, k3):
         params = DynamicsParams(coupling_gain=1e308, t_max=1.0)
         with pytest.raises(IntegrationDivergedError, match="t="):
-            run_checkpoints(k3, random_init(3, seed=0), params, ShilSchedule(), seed=0)
+            run_checkpoints(k3, random_init(3, seed=0), params, seed=0)
 
     def test_length_mismatch(self, k3):
         with pytest.raises(ValueError, match="length"):
-            run_checkpoints(k3, random_init(4, seed=0), DynamicsParams(t_max=1.0), ShilSchedule())
+            run_checkpoints(k3, random_init(4, seed=0), DynamicsParams(t_max=1.0))
 
     def test_stride_is_the_checkpoint_spacing(self, k3):
         # 0.5 / 0.008 = 62.5 rounds to 62 steps per checkpoint
         params = DynamicsParams(dt=0.008, t_max=2.0)
-        cps = run_checkpoints(k3, random_init(3, seed=0), params, ShilSchedule(), seed=0)
+        cps = run_checkpoints(k3, random_init(3, seed=0), params, seed=0)
         assert cps.time[1] - cps.time[0] == 62 * 0.008
         assert cps.time[2] == 124 * 0.008
 
@@ -416,15 +407,14 @@ class TestIntegrate:
         # switches on, which must not count as settling
         graph = random_colorable_graph(20, 40, seed=5)
         params = DynamicsParams(coupling_gain=kc, t_max=40.0)
-        sched = ShilSchedule()
         for seed in range(3):
             init = random_init(20, seed)
-            early = [cp for _, cp in integrate_block(graph, [init], params, sched, [seed],
+            early = [cp for _, cp in integrate_block(graph, [init], params, [seed],
                                                      settle_exit=True)]
-            full = [cp for _, cp in integrate_block(graph, [init], params, sched, [seed])]
+            full = [cp for _, cp in integrate_block(graph, [init], params, [seed])]
             [settle] = early[-1].settled_at
             assert settle == early[-1].time == full[-1].settled_at[0]
-            assert sched.ramp_end <= settle < params.t_max
+            assert params.ramp_end <= settle < params.t_max
             # stopping early changes nothing before the exit
             assert len(early) < len(full)
             for a, b in zip(early, full):
@@ -432,30 +422,29 @@ class TestIntegrate:
                 assert np.array_equal(a.phases, b.phases)
                 assert np.array_equal(a.settled_at, b.settled_at, equal_nan=True)
 
-    @pytest.mark.parametrize("params, sched", [
-        (DynamicsParams(noise_amplitude=1e-4, t_max=30.0), ShilSchedule()),
-        (DynamicsParams(detuning=1e-5, t_max=30.0), ShilSchedule()),
+    @pytest.mark.parametrize("params", [
+        DynamicsParams(noise_amplitude=1e-4, t_max=30.0),
+        DynamicsParams(detuning=1e-5, t_max=30.0),
     ], ids=["noise", "detuning"])
-    def test_settle_exit_needs_a_fixed_gradient_flow(self, params, sched):
+    def test_settle_exit_needs_a_fixed_gradient_flow(self, params):
         graph = random_colorable_graph(20, 40, seed=5)
-        _, final = last_checkpoint(integrate_block(graph, [random_init(20, 1)], params, sched,
-                                                   [1], settle_exit=True))
+        _, final = last_checkpoint(integrate_block(graph, [random_init(20, 1)], params, [1],
+                                                   settle_exit=True))
         assert final.time == pytest.approx(params.t_max)
         # the settle rule held well before t_max, so only the gate kept it running
         assert final.settled_at[0] < params.t_max - 5.0
 
-    @pytest.mark.parametrize("params, sched", [
-        (DynamicsParams(t_max=12.0), ShilSchedule()),
-        (DynamicsParams(noise_amplitude=0.05, t_max=6.0), ShilSchedule(t_on=1.0, ramp=1.0)),
+    @pytest.mark.parametrize("params", [
+        DynamicsParams(t_max=12.0),
+        DynamicsParams(noise_amplitude=0.05, t_max=6.0, t_on=1.0, ramp=1.0),
     ], ids=["flow", "noisy"])
-    def test_block_checkpoints_match_the_row_reference(self, params, sched):
+    def test_block_checkpoints_match_the_row_reference(self, params):
         # the block-wide Lyapunov sums and quantization give each row the
         # bits of potts.lyapunov and potts.quantize on that row alone
         graph = random_colorable_graph(30, 66, seed=4)
         seeds = [3, 4, 5, 6, 7]
-        recorded = list(integrate_block(graph, [random_init(30, s) for s in seeds], params,
-                                        sched, seeds))
-        alone = run_checkpoints(graph, random_init(30, 3), params, sched, seed=3)
+        recorded = list(integrate_block(graph, [random_init(30, s) for s in seeds], params, seeds))
+        alone = run_checkpoints(graph, random_init(30, 3), params, seed=3)
         # row 0 of the block is the run alone, checkpoint for checkpoint
         assert len(recorded) == len(alone.time)
         for k, (rows, a) in enumerate(recorded):
@@ -470,7 +459,7 @@ class TestIntegrate:
             times = np.broadcast_to(cp.time, cp.lyapunov.shape)
             for time, phases, lyap, spins in zip(times, cp.phases, cp.lyapunov, cp.spins,
                                                  strict=True):
-                ks_now = params.shil_gain_max * sched.envelope(time)
+                ks_now = params.shil_gain_max * params.envelope(time)
                 assert lyap == lyapunov(graph, phases, params.coupling_gain, ks_now,
                                         params.n_phases)
                 assert np.array_equal(spins, quantize(phases, params.n_phases))
@@ -482,8 +471,7 @@ class TestIntegrate:
         graph = random_colorable_graph(20, 40, seed=5)
         seeds = [0, 1, 2, 3]
         recorded = list(integrate_block(graph, [random_init(20, s) for s in seeds],
-                                        DynamicsParams(t_max=40.0), ShilSchedule(), seeds,
-                                        settle_exit=True))
+                                        DynamicsParams(t_max=40.0), seeds, settle_exit=True))
         times = [cp.time for _, cp in recorded]
         assert all(b > a for a, b in zip(times, times[1:]))
         for rows, cp in recorded:
@@ -504,7 +492,7 @@ class TestIntegrate:
         params = DynamicsParams(t_max=2.0)
         with np.errstate(over="raise", invalid="raise"):
             mine = np.geterr()
-            block = integrate_block(k3, [random_init(3, seed=0)], params, ShilSchedule(), [0])
+            block = integrate_block(k3, [random_init(3, seed=0)], params, [0])
             for _ in range(2):
                 next(block)
                 assert np.geterr() == mine
@@ -585,7 +573,7 @@ class TestWrapPhases:
             return True
 
         monkeypatch.setattr(dynamics, "wrap_phases", checked)
-        cps = run_checkpoints(k4, random_init(4, 2), params, ShilSchedule(), seed=2)
+        cps = run_checkpoints(k4, random_init(4, 2), params, seed=2)
         beyond = [lo < -TWO_PI or hi >= 2 * TWO_PI for lo, hi in spans]
         assert any(beyond) == (params.coupling_gain == 500.0)
         final = cps.phases[-1]
@@ -594,4 +582,4 @@ class TestWrapPhases:
     def test_non_finite_phase_names_the_seed(self, k4):
         params = DynamicsParams(coupling_gain=1e308, noise_amplitude=0.01, t_max=1.0)
         with pytest.raises(IntegrationDivergedError, match="seed 7: non-finite phase at t="):
-            run_checkpoints(k4, random_init(4, seed=7), params, ShilSchedule(), seed=7)
+            run_checkpoints(k4, random_init(4, seed=7), params, seed=7)

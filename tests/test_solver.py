@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pottsim import DynamicsParams, ShilSchedule, dynamics, solve_multi, solver
+from pottsim import DynamicsParams, dynamics, solve_multi, solver
 from pottsim.graph_io import Graph
 from pottsim.potts import accuracy, delta_energy
 from pottsim.dynamics import IntegrationDivergedError, integrate_block, random_init
@@ -23,7 +23,6 @@ from pottsim.solver import (
     effective_config,
     report_csv,
     report_json,
-    table_text,
 )
 
 from conftest import random_colorable_graph
@@ -31,12 +30,11 @@ from helpers import bootstrap_mean_diff, last_checkpoint
 from strategies import graphs
 
 FAST = DynamicsParams(t_max=20.0)
-SCHED = ShilSchedule()
 
 
-def run_alone(graph, params, schedule, seed):
+def run_alone(graph, params, seed):
     """One restart run alone: a block of one row."""
-    return _run_task(((graph, params, schedule, None), [seed]))[0]
+    return _run_task(((graph, params, None), [seed]))[0]
 
 
 class TestSolveOnce:
@@ -44,24 +42,24 @@ class TestSolveOnce:
 
     def test_edgeless_graph_scores_perfect(self):
         graph = Graph(5, np.empty((0, 2), dtype=int))
-        record = run_alone(graph, FAST, SCHED, seed=0)
+        record = run_alone(graph, FAST, seed=0)
         assert record.accuracy == 1.0
         assert record.delta_energy == 0.0
 
     def test_k3_defaults_solve(self, k3):
         # the 100 restarts run as one lockstep block
         params = DynamicsParams(t_max=40.0)
-        records = _run_task(((k3, params, SCHED, None), range(100)))
+        records = _run_task(((k3, params, None), range(100)))
         assert sum(r.accuracy == 1.0 for r in records) >= 95
 
     def test_settle_exit_scores_like_the_full_horizon(self):
         graph = random_colorable_graph(30, 66, seed=4)
         params = DynamicsParams(t_max=40.0)
         for seed in range(6):
-            record = run_alone(graph, params, SCHED, seed=seed)
+            record = run_alone(graph, params, seed=seed)
             # the same run to t_max, without the settle exit
             _, final = last_checkpoint(integrate_block(
-                graph, [random_init(30, seed)], params, SCHED, [seed]))
+                graph, [random_init(30, seed)], params, [seed]))
             assert final.time == pytest.approx(params.t_max)
             assert record.cycles < params.t_max  # the run did stop early
             assert [record.accuracy] == accuracy(graph, final.spins).tolist()
@@ -70,8 +68,8 @@ class TestSolveOnce:
 
     def test_deterministic_per_seed(self):
         graph = random_colorable_graph(15, 30, seed=0)
-        a = run_alone(graph, FAST, SCHED, seed=3)
-        b = run_alone(graph, FAST, SCHED, seed=3)
+        a = run_alone(graph, FAST, seed=3)
+        b = run_alone(graph, FAST, seed=3)
         assert a == b
 
 
@@ -145,9 +143,9 @@ class TestLockstepBlocks:
         # a sweep's rows differ in their rate
         params = DynamicsParams(noise_amplitude=noise, detuning=detunings[0], t_max=14.0)
         records = [r for block in split(seeds, cuts)
-                   for r in _run_task(((graph, params, SCHED, None), block))]
-        assert records == [run_alone(graph, params, SCHED, s) for s in seeds]
-        shared = (graph, dataclasses.replace(params, detuning=0.0), SCHED)
+                   for r in _run_task(((graph, params, None), block))]
+        assert records == [run_alone(graph, params, s) for s in seeds]
+        shared = (graph, dataclasses.replace(params, detuning=0.0))
         rows = list(zip(seeds, detunings))
         devs = [d for block in split(rows, cuts) for d in _detune_task((shared, block))]
         assert devs == [_detune_task((shared, [row]))[0] for row in rows]
@@ -160,7 +158,7 @@ class TestLockstepBlocks:
             ends = {}
             for rows, cp in integrate_block(
                     graph, [random_init(graph.num_vertices, s) for s in row_seeds],
-                    shared[1], SCHED, row_seeds, rates, settle_exit=True):
+                    shared[1], row_seeds, rates, settle_exit=True):
                 for r, lyap, at, phases in zip(rows, cp.lyapunov.tolist(),
                                                cp.settled_at.tolist(), cp.phases):
                     ends[r] = (cp.time, lyap, None if np.isnan(at) else at, phases.tobytes())
@@ -171,7 +169,7 @@ class TestLockstepBlocks:
 
     def test_diverged_row_fails_by_its_seed(self, k3):
         # detuning * t overflows to inf near t = 1.06 in the middle row only
-        shared = (k3, DynamicsParams(t_max=2.0), ShilSchedule(t_on=0.0, ramp=0.0))
+        shared = (k3, DynamicsParams(t_max=2.0, t_on=0.0, ramp=0.0))
         rows = [(11, 0.0), (12, 1.7e308), (13, 0.0)]
         with pytest.raises(IntegrationDivergedError, match="seed 12"):
             _detune_task((shared, rows))
@@ -181,13 +179,13 @@ class TestLockstepBlocks:
 class TestSolveMulti:
     def test_single_iteration_aggregate(self):
         graph = random_colorable_graph(12, 24, seed=1)
-        report = solve_multi(graph, FAST, SCHED, iterations=1, base_seed=7)
+        report = solve_multi(graph, FAST, iterations=1, base_seed=7)
         assert report.num_runs == 1
         assert report.avg_accuracy == report.best_accuracy == report.runs[0].accuracy
 
     def test_aggregate_recomputable_from_runs(self):
         graph = random_colorable_graph(12, 24, seed=1)
-        report = solve_multi(graph, FAST, SCHED, iterations=8, base_seed=0)
+        report = solve_multi(graph, FAST, iterations=8, base_seed=0)
         accs = [r.accuracy for r in report.runs]
         assert report.avg_accuracy == pytest.approx(np.mean(accs))
         assert report.best_accuracy == max(accs)
@@ -196,45 +194,45 @@ class TestSolveMulti:
 
     def test_reproducible_and_jobs_invariant(self):
         graph = random_colorable_graph(12, 24, seed=2)
-        serial = solve_multi(graph, FAST, SCHED, iterations=4, base_seed=0, benchmark="x")
-        again = solve_multi(graph, FAST, SCHED, iterations=4, base_seed=0, benchmark="x")
-        parallel = solve_multi(graph, FAST, SCHED, iterations=4, base_seed=0, benchmark="x", jobs=2)
+        serial = solve_multi(graph, FAST, iterations=4, base_seed=0, benchmark="x")
+        again = solve_multi(graph, FAST, iterations=4, base_seed=0, benchmark="x")
+        parallel = solve_multi(graph, FAST, iterations=4, base_seed=0, benchmark="x", jobs=2)
         assert report_json(serial) == report_json(again) == report_json(parallel)
 
     def test_failing_run_names_its_seed(self, k3):
         params = DynamicsParams(coupling_gain=1e308, t_max=1.0)
         with pytest.raises(IntegrationDivergedError, match="seed 5"):
-            solve_multi(k3, params, SCHED, iterations=1, base_seed=5)
+            solve_multi(k3, params, iterations=1, base_seed=5)
 
     def test_rejects_zero_iterations(self, k3):
         with pytest.raises(ValueError):
-            solve_multi(k3, FAST, SCHED, iterations=0, base_seed=0)
+            solve_multi(k3, FAST, iterations=0, base_seed=0)
 
 
 class TestAblate:
     def test_mode_none_matches_random_coloring_analysis(self):
         # a uniform random 3-coloring satisfies each edge with probability 2/3
         graph = random_colorable_graph(60, 140, seed=5)
-        report = solve_multi(graph, FAST, SCHED, iterations=200, base_seed=0, mode=AblationMode.NONE)
+        report = solve_multi(graph, FAST, iterations=200, base_seed=0, mode=AblationMode.NONE)
         assert report.avg_accuracy == pytest.approx(2 / 3, abs=0.035)
         assert all(r.cycles is None for r in report.runs)
 
     def test_sync_only_close_to_none(self):
         graph = random_colorable_graph(40, 90, seed=6)
-        none = solve_multi(graph, FAST, SCHED, iterations=60, base_seed=0, mode=AblationMode.NONE)
-        sync = solve_multi(graph, FAST, SCHED, iterations=60, base_seed=0, mode=AblationMode.SYNC_ONLY)
+        none = solve_multi(graph, FAST, iterations=60, base_seed=0, mode=AblationMode.NONE)
+        sync = solve_multi(graph, FAST, iterations=60, base_seed=0, mode=AblationMode.SYNC_ONLY)
         assert abs(sync.avg_accuracy - none.avg_accuracy) < 0.05
 
     def test_sync_only_settles_after_the_ramp(self):
         # with no couplings the phases sit still until SHIL switches on
         graph = random_colorable_graph(40, 90, seed=6)
-        sync = solve_multi(graph, FAST, SCHED, iterations=5, base_seed=0, mode=AblationMode.SYNC_ONLY)
-        assert all(SCHED.ramp_end <= r.cycles < FAST.t_max for r in sync.runs)
+        sync = solve_multi(graph, FAST, iterations=5, base_seed=0, mode=AblationMode.SYNC_ONLY)
+        assert all(FAST.ramp_end <= r.cycles < FAST.t_max for r in sync.runs)
 
     def test_full_beats_sync_only(self):
         graph = random_colorable_graph(40, 90, seed=6)
-        full = solve_multi(graph, FAST, SCHED, iterations=40, base_seed=0, mode=AblationMode.FULL)
-        sync = solve_multi(graph, FAST, SCHED, iterations=40, base_seed=0, mode=AblationMode.SYNC_ONLY)
+        full = solve_multi(graph, FAST, iterations=40, base_seed=0, mode=AblationMode.FULL)
+        sync = solve_multi(graph, FAST, iterations=40, base_seed=0, mode=AblationMode.SYNC_ONLY)
         lo, _ = bootstrap_mean_diff(
             [r.accuracy for r in full.runs], [r.accuracy for r in sync.runs], seed=1
         )
@@ -242,12 +240,12 @@ class TestAblate:
 
     def test_mode_recorded_in_config(self):
         graph = random_colorable_graph(12, 24, seed=1)
-        report = solve_multi(graph, FAST, SCHED, iterations=2, base_seed=0, mode=AblationMode.COUPLINGS_ONLY)
+        report = solve_multi(graph, FAST, iterations=2, base_seed=0, mode=AblationMode.COUPLINGS_ONLY)
         assert report.params["mode"] == "couplings_only"
 
     def test_accepts_mode_strings(self):
         graph = random_colorable_graph(12, 24, seed=1)
-        report = solve_multi(graph, FAST, SCHED, iterations=2, base_seed=0, mode="none")
+        report = solve_multi(graph, FAST, iterations=2, base_seed=0, mode="none")
         assert report.params["mode"] == "none"
 
 
@@ -255,16 +253,16 @@ class TestDetuneSweep:
     def test_zero_and_far_detuning_limits(self):
         graph = random_colorable_graph(20, 44, seed=7)
         params = dataclasses.replace(detune_protocol_params(), t_max=20.0)
-        sweep = detune_sweep(graph, params, SCHED, deltas=[0.0, 400.0], iterations=3)
+        sweep = detune_sweep(graph, params, deltas=[0.0, 400.0], iterations=3)
         by_delta = dict(sweep)
         assert by_delta[0.0] < 1.5
         assert 20.0 < by_delta[400.0] < 40.0
 
     def test_requires_deltas(self, k3):
         with pytest.raises(ValueError):
-            detune_sweep(k3, FAST, SCHED, deltas=[], iterations=1)
+            detune_sweep(k3, FAST, deltas=[], iterations=1)
         with pytest.raises(ValueError, match="iterations must be >= 1"):
-            detune_sweep(k3, FAST, SCHED, deltas=[0.0], iterations=0)
+            detune_sweep(k3, FAST, deltas=[0.0], iterations=0)
 
 
 class TestBootstrap:
@@ -289,7 +287,7 @@ class TestReports:
     @pytest.fixture
     def report(self):
         graph = random_colorable_graph(12, 24, seed=3)
-        return solve_multi(graph, FAST, SCHED, iterations=5, base_seed=2, benchmark="tiny")
+        return solve_multi(graph, FAST, iterations=5, base_seed=2, benchmark="tiny")
 
     def test_json_schema(self, report):
         doc = json.loads(report_json(report))
@@ -308,24 +306,11 @@ class TestReports:
         assert lines[1] == "seed,accuracy,delta_energy,vector_energy,cycles"
         assert len(lines) == 2 + 5
 
-    def test_csv_table_comes_in_bounded_chunks(self, report, monkeypatch):
-        whole = report_csv(report)
-        head = {"benchmark": report.benchmark, "params": report.params}
-        columns = [f.name for f in dataclasses.fields(solver.RunRecord)]
-        rows = [dataclasses.astuple(r) for r in report.runs]
-        monkeypatch.setattr(solver, "TABLE_CHUNK_ROWS", 3)
-        chunks = list(table_text(head, columns, rows))
-        assert [c.count("\n") for c in chunks] == [3, 3, 1]  # 2 header lines + 5 rows
-        assert "".join(chunks) == whole
-        monkeypatch.setattr(solver, "TABLE_CHUNK_ROWS", 7)
-        assert list(table_text(head, columns, rows)) == [whole]
-
     def test_config_round_trip(self, report):
         cfg = report.params
-        assert DynamicsParams(**cfg["dynamics"]) == FAST
-        assert ShilSchedule(**cfg["schedule"]) == SCHED
+        assert DynamicsParams(**cfg["dynamics"], **cfg["schedule"]) == FAST
         assert (cfg["iterations"], cfg["base_seed"]) == (5, 2)
-        assert effective_config(FAST, SCHED, 5, 2)["convergence"] == {
+        assert effective_config(FAST, 5, 2)["convergence"] == {
             "window": dynamics.CONVERGENCE_WINDOW, "eps": dynamics.CONVERGENCE_EPS,
         }
 
@@ -333,9 +318,9 @@ class TestReports:
         # settings given as numpy scalars run and report as the Python
         # numbers they stand for
         graph = random_colorable_graph(12, 24, seed=3)
-        params = DynamicsParams(n_phases=np.int64(3), dt=np.float32(0.02), t_max=10.0)
-        report = solve_multi(graph, params, ShilSchedule(t_on=np.float32(5)), iterations=2,
-                             base_seed=0)
+        params = DynamicsParams(n_phases=np.int64(3), dt=np.float32(0.02), t_max=10.0,
+                                t_on=np.float32(5))
+        report = solve_multi(graph, params, iterations=2, base_seed=0)
         doc = json.loads(report_json(report))
         assert doc["params"]["dynamics"]["n_phases"] == 3
         assert doc["params"]["dynamics"]["dt"] == float(np.float32(0.02))
@@ -343,5 +328,4 @@ class TestReports:
 
     def test_config_survives_json(self, report):
         cfg = json.loads(json.dumps(report.params))
-        assert DynamicsParams(**cfg["dynamics"]) == FAST
-        assert ShilSchedule(**cfg["schedule"]) == SCHED
+        assert DynamicsParams(**cfg["dynamics"], **cfg["schedule"]) == FAST
