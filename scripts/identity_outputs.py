@@ -23,7 +23,7 @@ target the real values differ in their last digits.
 To compare another tree, copy this file into that tree's `scripts/` and run
 it there too.  The trees agree when `diff -r DEST_A DEST_B` prints nothing;
 `scripts/compare_reports.py DEST_A/reports DEST_B/reports` explains a
-difference in the reports run by run.  The set took 35-39 s on a shared
+difference in the reports run by run.  The set took 23-24 s on a shared
 2-vCPU host (Python 3.11.7, numpy 2.4.6).
 """
 from __future__ import annotations
@@ -76,6 +76,10 @@ def commands(dest: Path) -> list[tuple[str, list[str], str | None]]:
          ".json"),
         # fails: the coupling-unstable run's Lyapunov value rises
         ("solve_kc40", ["solve", flat_200, "--kc", "40", "--iters", "3"], None),
+        # fail: the sweep refuses a rate it would not run; the horizon overflows the step count
+        ("detune_detune_nonzero", ["detune", flat_30, "--iters", "1", "--deltas", "0,30",
+                                   "--detune", "5"], None),
+        ("solve_t_max_overflow", ["solve", flat_30, "--iters", "1", "--t-max", "1e308"], None),
         ("solve_csv_out", ["solve", "benchmarks/flat_50_115-1.col", "--iters", "10",
                            "--format", "csv", "--out", str(dest / "reports" / "solve_csv_out.csv")],
          None),

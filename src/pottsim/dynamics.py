@@ -73,7 +73,7 @@ class DynamicsParams:
     def __post_init__(self):
         for f in fields(self):
             val = getattr(self, f.name)
-            if not isinstance(val, numbers.Real):
+            if isinstance(val, bool) or not isinstance(val, numbers.Real):
                 raise TypeError(f"{f.name} must be a real number, got {val!r}")
             val = phase_count(val) if f.name == "n_phases" else float(val)
             object.__setattr__(self, f.name, val)
@@ -88,7 +88,7 @@ class DynamicsParams:
             raise ValueError(f"dt * n_phases * shil_gain_max = {stiffness:g} exceeds RK4's "
                              f"stability limit {RK4_REAL_STABILITY} (reduce dt or the SHIL gain)")
         if not np.isfinite(max(self.t_max, CHECKPOINT_STRIDE) / self.dt):
-            raise ValueError(f"dt = {self.dt:g} is too small: the step count must be finite")
+            raise ValueError(f"t_max = {self.t_max:g}, dt = {self.dt:g}: the step count must be finite")
 
     @property
     def ramp_end(self) -> float:

@@ -47,7 +47,7 @@ def wrap_phases(theta: np.ndarray) -> bool:
 
 def phase_count(n_phases) -> int:
     """`n_phases` as a Python int; a non-integral value, or one below 2, raises ValueError."""
-    if not isinstance(n_phases, numbers.Integral):
+    if isinstance(n_phases, bool) or not isinstance(n_phases, numbers.Integral):
         raise ValueError(f"n_phases must be an integer, got {n_phases!r}")
     if n_phases < 2:
         raise ValueError("n_phases must be >= 2")

@@ -260,6 +260,9 @@ def detune_sweep(
     each final phase to the nearest target phase of the (rotating) SHIL
     stimulus, converted to degrees.
     """
+    if params.detuning != 0:
+        # each run's rate comes from `deltas`: effective_config would record a rate never run
+        raise ValueError("detune sets each run's detuning from --deltas; --detune must be 0")
     if len(deltas) == 0:
         raise ValueError("need at least one detuning value")
     if not np.isfinite(deltas).all():

@@ -562,13 +562,18 @@ class TestErrors:
 
     @pytest.mark.parametrize("flags", [
         ["--t-on", "nan"], ["--t-on", "inf"], ["--ramp", "inf"], ["--dt", "inf", "--ks", "0"],
-        ["--dt", "1e-320"],
-    ], ids=["t-on-nan", "t-on-inf", "ramp-inf", "dt-inf", "dt-step-count-inf"])
+        ["--dt", "1e-320"], ["--t-max", "1e308"],
+    ], ids=["t-on-nan", "t-on-inf", "ramp-inf", "dt-inf", "dt-step-count-inf",
+            "t-max-step-count-inf"])
     def test_non_finite_schedule_or_step_rejected(self, tiny_col, tmp_path, capsys, flags):
         out = tmp_path / "r.json"
         rc = main(["solve", str(tiny_col), *flags, "--iters", "1", "--out", str(out)])
         assert rc == 1
-        assert "must be finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "must be finite" in err
+        if "--t-max" in flags:
+            # the horizon overflows the step count, so the message names it
+            assert "t_max = 1e+308" in err
         assert not out.exists()
 
     def test_coupling_unstable_run_fails_by_its_seed(self, tmp_path, capsys):

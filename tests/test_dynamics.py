@@ -70,6 +70,8 @@ class TestParamsValidation:
             {"dt": np.nan},
             # t_max / dt overflows to inf, so the step count is not a number
             {"dt": 1e-320},
+            # t_max / dt overflows the other way: a horizon too far for the step
+            {"t_max": 1e308},
             # dt * n_phases * shil_gain_max = 3.6, past RK4's real-axis limit
             {"shil_gain_max": 60.0},
         ):
@@ -82,8 +84,9 @@ class TestParamsValidation:
         assert params.dt == float(np.float32(0.02)) and params.t_max == 10.0
         params = DynamicsParams(t_on=np.float32(5), ramp=2)
         assert (type(params.t_on), type(params.ramp)) == (float, float)
-        # a setting that is no real number is rejected
-        for kwargs in ({"dt": "0.02"}, {"coupling_gain": None}, {"detuning": 1j}, {"ramp": "5"}):
+        # a setting that is no real number is rejected, a bool among them
+        for kwargs in ({"dt": "0.02"}, {"coupling_gain": None}, {"detuning": 1j}, {"ramp": "5"},
+                       {"noise_amplitude": True}, {"n_phases": True}):
             with pytest.raises(TypeError, match="must be a real number"):
                 DynamicsParams(**kwargs)
 

@@ -85,7 +85,7 @@ class TestEnumerateLandscape:
         assert a.energies.tobytes() == b.energies.tobytes()
         assert (a.n_states, a.num_local_minima) == (b.n_states, b.num_local_minima) == (27, 6)
         assert type(a.n_states) is int
-        for bad in (3.0, np.float64(3.0), 2.5):
+        for bad in (3.0, np.float64(3.0), 2.5, True):
             with pytest.raises(ValueError, match="n_phases must be an integer"):
                 enumerate_landscape(k3, bad)
 

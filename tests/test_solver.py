@@ -264,6 +264,17 @@ class TestDetuneSweep:
         with pytest.raises(ValueError, match="iterations must be >= 1"):
             detune_sweep(k3, FAST, deltas=[0.0], iterations=0)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_params_detuning_must_be_zero(self, k3, monkeypatch, jobs):
+        # each row's rate comes from `deltas`, so a nonzero params.detuning
+        # would be ignored yet recorded by effective_config: no block runs
+        calls = []
+        monkeypatch.setattr(solver, "_detune_task", lambda block: calls.append(block) or [])
+        params = dataclasses.replace(FAST, detuning=5.0)
+        with pytest.raises(ValueError, match="--detune must be 0"):
+            detune_sweep(k3, params, deltas=[0.0, 30.0], iterations=2, jobs=jobs)
+        assert calls == []
+
 
 class TestBootstrap:
     def test_identical_samples_cover_zero(self):
