@@ -23,7 +23,7 @@ target the real values differ in their last digits.
 To compare another tree, copy this file into that tree's `scripts/` and run
 it there too.  The trees agree when `diff -r DEST_A DEST_B` prints nothing;
 `scripts/compare_reports.py DEST_A/reports DEST_B/reports` explains a
-difference in the reports run by run.  The set took 23-24 s on a shared
+difference in the reports run by run.  The set took 25-28 s on a shared
 2-vCPU host (Python 3.11.7, numpy 2.4.6).
 """
 from __future__ import annotations
@@ -67,6 +67,9 @@ def commands(dest: Path) -> list[tuple[str, list[str], str | None]]:
                               "--jobs", "2"], ".json") for n in (2, 4)]
     cmds += [
         ("solve_one_row", ["solve", flat_200, "--iters", "1"], ".json"),
+        # t_max is no whole number of checkpoint strides: unsettled runs end on a 15-step interval
+        ("solve_t_max_12_3", ["solve", flat_30, "--iters", "10", "--t-max", "12.3", "--jobs", "2"],
+         ".json"),
         # a SHIL envelope off its defaults reaches the steps, the rise check and the header
         ("solve_t_on1_ramp0", ["solve", flat_30, "--iters", "5", "--t-on", "1", "--ramp", "0",
                                "--jobs", "2"], ".json"),

@@ -32,7 +32,7 @@ from .potts import TWO_PI, lyapunov, phase_count, quantize, wrap_phases
 CHECKPOINT_STRIDE = 0.5
 # Settle rule: the rounded coloring is unchanged over this many consecutive
 # checkpoints and max |dtheta/dt| is below CONVERGENCE_EPS at the last one
-# (see _settle_step).
+# (see _checkpoint).
 CONVERGENCE_WINDOW = 5
 CONVERGENCE_EPS = 1e-3
 # RK4's stability interval on the negative real axis (Hairer & Wanner,
@@ -213,21 +213,43 @@ def random_init(n: int, seed: int) -> np.ndarray:
     return rng.random(n) * TWO_PI
 
 
-def _settle_step(counts: Optional[np.ndarray], prev_spins: Optional[np.ndarray], spins: np.ndarray,
-                 max_rate: np.ndarray, t: float, settle_from: float) -> tuple[np.ndarray, np.ndarray]:
-    """The settle rule at one checkpoint, for each row of a block.
+def _checkpoint(graph: Graph, params: DynamicsParams, theta: np.ndarray, k1: np.ndarray, t: float,
+                prev: Optional[Checkpoint], counts: Optional[np.ndarray], flows: np.ndarray,
+                seeds: Sequence[int], steps: int) -> tuple[Checkpoint, np.ndarray]:
+    """The Checkpoint at time t of the running rows (phases and velocities the
+    columns of `theta` and `k1`), ``steps`` steps after ``prev`` (None at the
+    first), and their new settle counts.  It alone rounds a row to its coloring,
+    counts it, takes its Lyapunov value and checks that for a rise.
 
-    A row's count is how many checkpoints in a row, up to the previous one,
-    had its current coloring, counted from t = 0 (``counts`` is None at the
-    first checkpoint).  The row has settled when the count reaches
-    CONVERGENCE_WINDOW - 1, its max |dtheta/dt| is below CONVERGENCE_EPS and
-    t >= `settle_from`, which solve runs set to the end of the ramp (before
-    it, a run whose phases have not moved yet would count as settled).
-    Returns the new counts and the settled mask.
+    A count is how many checkpoints in a row, up to ``prev``, had the row's
+    coloring.  The row settles when it reaches CONVERGENCE_WINDOW - 1, max
+    |dtheta/dt| is below CONVERGENCE_EPS and t >= ramp_end (before, unmoved
+    phases would count as settled).  A fixed gradient flow (``flows`` set)
+    whose Lyapunov value exceeds ``prev``'s by 1e-6 per edge and step while the
+    envelope is constant (0 before t_on, 1 from ramp_end) raises
+    IntegrationDivergedError naming its seed.
     """
-    counts = (np.zeros(len(spins), dtype=np.int64) if counts is None
-              else np.where((spins == prev_spins).all(axis=1), counts + 1, 0))
-    return counts, (counts >= CONVERGENCE_WINDOW - 1) & (max_rate < CONVERGENCE_EPS) & (t >= settle_from)
+    # one run per row, C-contiguous (the steps update theta in place), so row sums have their lone bits
+    phases = theta.T.copy()
+    max_rate = np.abs(k1).max(axis=0)
+    spins = quantize(phases, params.n_phases)
+    lyap = lyapunov(graph, phases, params.coupling_gain, params.shil_gain_max * params.envelope(t),
+                    params.n_phases)
+    if prev is None:
+        counts, settled_at = np.zeros(len(spins), dtype=np.int64), np.full(len(spins), np.nan)
+    else:
+        counts = np.where((spins == prev.spins).all(axis=1), counts + 1, 0)
+        settled_at = prev.settled_at
+        if t < params.t_on or prev.time >= params.ramp_end:
+            risen = flows & (lyap > prev.lyapunov + 1e-6 * graph.num_edges * steps)
+            if risen.any():
+                k = np.argmax(risen)
+                raise IntegrationDivergedError(
+                    f"run with seed {seeds[k]}: Lyapunov value rose from {prev.lyapunov[k]:g} to "
+                    f"{lyap[k]:g} between t={prev.time:g} and t={t:g} cycles (reduce dt or the gains)")
+    settled = (counts >= CONVERGENCE_WINDOW - 1) & (max_rate < CONVERGENCE_EPS) & (t >= params.ramp_end)
+    settled_at = np.where(settled & np.isnan(settled_at), t, settled_at)
+    return Checkpoint(t, phases, lyap, spins, max_rate, settled_at), counts
 
 
 def integrate_block(
@@ -253,13 +275,12 @@ def integrate_block(
     derived from the row's seed.  Phases are wrapped to [0, 2*pi] after every
     step (`potts.wrap_phases`).
 
-    A row settles at the first checkpoint that meets the settle rule
-    (`_settle_step`).  It ends at the last step, or with ``settle_exit`` once
-    settled if the rest of its run is a fixed gradient flow: no noise and no
-    detuning.  Raises IntegrationDivergedError, naming the row's seed, if a
-    phase becomes non-finite, or if a fixed gradient flow's Lyapunov value
-    rises by more than 1e-6 per edge and step between two checkpoints over
-    which the envelope is constant: a step size too large for the gains.
+    Each checkpoint is `_checkpoint`'s: a row settles at the first one that
+    meets the settle rule, and a fixed gradient flow (no noise and no
+    detuning) whose Lyapunov value rises raises IntegrationDivergedError.  A
+    row ends at the last step, or with ``settle_exit`` once settled if it is
+    such a flow.  A non-finite phase raises IntegrationDivergedError, naming
+    the row's seed.
     """
     n = graph.num_vertices
     rates = np.full(len(seeds), params.detuning) if detunings is None else np.array(detunings, float)
@@ -278,15 +299,12 @@ def integrate_block(
     ckpt_every = max(1, int(round(CHECKPOINT_STRIDE / dt)))
     rngs = [np.random.default_rng([seed, 1]) for seed in seeds] if params.noise_amplitude else None
     noise_std = params.noise_amplitude * np.sqrt(dt)
-    # rows whose run is a fixed gradient flow, which descends the Lyapunov
-    # function while the envelope is constant
+    # rows whose run is a fixed gradient flow, the rows the rise check covers
     flows = (rates == 0) & (rngs is None)
 
     # block indices of the rows still running, in the order of the arrays
-    # below: per running row its settle time, spins, settle count and
-    # Lyapunov value at the last checkpoint (at time t_prev)
-    rows, settled_at = np.arange(len(seeds)), np.full(len(seeds), np.nan)
-    t_prev = spins = counts = lyap = None
+    # below, their settle counts and their last checkpoint
+    rows, counts, cp = np.arange(len(seeds)), None, None
     # one rate per running row, None if no row is detuned (only fixed
     # gradient flows leave a block early, so a detuned row stays to the end)
     detuning = rates if rates.any() else None
@@ -323,37 +341,19 @@ def integrate_block(
                         "(reduce dt or the gains)")
                 # the next step's k1 is also the velocity a checkpoint there reports
                 k1 = f(theta, (i + 1) * dt)
-            # checkpoint: k1 is the velocity here; the phases are a C-contiguous copy (the steps
-            # update theta in place) with one run per row, so row sums have their lone bits
-            t = stop * dt
-            phases = theta.T.copy()
-            max_rate = np.abs(k1).max(axis=0)
-            prev_spins, spins = spins, quantize(phases, nph)
-            counts, settled = _settle_step(counts, prev_spins, spins, max_rate, t, params.ramp_end)
-            settled_at = np.where(settled & np.isnan(settled_at), t, settled_at)
-            lyap_prev, lyap = lyap, lyapunov(graph, phases, kc, ks_max * params.envelope(t), nph)
-            # a flow's Lyapunov value is checked against the last checkpoint's
-            # while the envelope is constant: it is 0 on [0, t_on), and at
-            # t_on it is already 1 when the ramp is 0
-            if t_prev is not None and (t < params.t_on or t_prev >= params.ramp_end):
-                risen = flows[rows] & (lyap > lyap_prev + 1e-6 * graph.num_edges * ckpt_every)
-                if risen.any():
-                    k = np.argmax(risen)
-                    raise IntegrationDivergedError(
-                        f"run with seed {seeds[rows[k]]}: Lyapunov value rose from "
-                        f"{lyap_prev[k]:g} to {lyap[k]:g} between t={t_prev:g} and t={t:g} "
-                        "cycles (reduce dt or the gains)")
-        yield rows, Checkpoint(t, phases, lyap, spins, max_rate, settled_at)
-        # every running row ends at the last step; a row that can exit has
+            # k1 is the velocity at the checkpoint
+            cp, counts = _checkpoint(graph, params, theta, k1, stop * dt, cp, counts, flows[rows],
+                                     [seeds[r] for r in rows], stop - start)
+        yield rows, cp
+        # every running row ends at the last step; a flow that can exit has
         # not settled before, or it would have left then
-        ends = settled & flows[rows] & settle_exit | (stop == steps)
+        ends = (cp.settled_at == cp.time) & flows[rows] & settle_exit | (stop == steps)
         if ends.all():
             return
         if ends.any():
             keep = ~ends
-            rows, spins, counts, lyap, settled_at = (
-                a[keep] for a in (rows, spins, counts, lyap, settled_at))
-            theta, k1 = theta[:, keep], k1[:, keep]
+            rows, counts, theta, k1 = rows[keep], counts[keep], theta[:, keep], k1[:, keep]
+            cp = Checkpoint(cp.time, *(getattr(cp, fld.name)[keep] for fld in fields(cp)[1:]))
             detuning = None if detuning is None else detuning[keep]
             edges.resize(len(rows))
-        t_prev, start, stop = t, stop, min(stop + ckpt_every, steps)
+        start, stop = stop, min(stop + ckpt_every, steps)

@@ -16,8 +16,8 @@ from pottsim.dynamics import (
     Checkpoint,
     IntegrationDivergedError,
     _BlockEdges,
+    _checkpoint,
     _rhs_core,
-    _settle_step,
     integrate_block,
     random_init,
 )
@@ -294,9 +294,10 @@ class TestIntegrate:
             # a step this small against the flow's stiffness descends
             assert dt * stiffness > 0.5
             return
-        tol = 1e-6 * graph.num_edges * int(round((cps.time[1] - cps.time[0]) / dt))
+        # the tolerance of each interval counts its own steps
+        tol = 1e-6 * graph.num_edges * np.round(np.diff(cps.time) / dt)
         constant = (cps.time[1:] < params.t_on) | (cps.time[:-1] >= params.ramp_end)
-        assert np.all(cps.lyapunov[1:][constant] <= cps.lyapunov[:-1][constant] + tol)
+        assert np.all(cps.lyapunov[1:][constant] <= (cps.lyapunov[:-1] + tol)[constant])
 
     def test_well_switched_on_whole_is_not_a_rise(self):
         # with ramp 0 the envelope jumps from 0 to 1 at t_on, here a
@@ -333,6 +334,41 @@ class TestIntegrate:
         tol = 1e-6 * graph.num_edges * int(round((cps.time[1] - cps.time[0]) / params.dt))
         after_ramp = cps.time[:-1] >= params.ramp_end
         assert np.any(cps.lyapunov[1:][after_ramp] > cps.lyapunov[:-1][after_ramp] + tol)
+
+    def test_rise_tolerance_counts_the_steps_taken(self, k4, monkeypatch):
+        # t_max = 12.3 is 615 steps: 24 strides of 25, then a last interval of 15
+        params = DynamicsParams(t_max=12.3)
+        real, values = dynamics.lyapunov, []
+
+        def rising_at_the_end(graph, phases, *args):
+            values.append(real(graph, phases, *args))
+            if len(values) == 26:  # the checkpoint at t_max
+                # a rise within 25 steps' tolerance, but beyond 15 steps'
+                values[-1] = values[-2] + 1e-6 * graph.num_edges * 20
+            return values[-1]
+
+        monkeypatch.setattr(dynamics, "lyapunov", rising_at_the_end)
+        with pytest.raises(IntegrationDivergedError,
+                           match="seed 5: Lyapunov value rose .* between t=12 and t=12.3 cycles"):
+            run_checkpoints(k4, random_init(4, seed=5), params, seed=5)
+        assert len(values) == 26
+
+    def test_rise_check_names_the_risen_rows_seed(self, k4):
+        params, seeds = DynamicsParams(), [11, 12, 13]
+        theta = np.stack([random_init(4, seed) for seed in seeds], axis=1)
+        k1 = np.zeros_like(theta)
+        first, counts = _checkpoint(k4, params, theta, k1, 20.0, None, None,
+                                    np.ones(3, bool), seeds, 0)
+        # the same phases 25 steps later, against a value of row 2 that was 1 lower
+        prev = dataclasses.replace(first, lyapunov=first.lyapunov - [0.0, 0.0, 1.0])
+
+        def check(flows):
+            return _checkpoint(k4, params, theta, k1, 20.5, prev, counts, np.array(flows), seeds, 25)
+
+        with pytest.raises(IntegrationDivergedError, match="seed 13: Lyapunov value rose"):
+            check([True, True, True])
+        cp, _ = check([True, True, False])
+        assert cp.lyapunov.tolist() == first.lyapunov.tolist()
 
     def test_equivariant_under_lattice_rotation(self):
         graph = random_colorable_graph(12, 24, seed=2)
@@ -504,59 +540,54 @@ class TestIntegrate:
             assert np.geterr() == mine
 
 
-def lattice_checkpoint(time: float, spins: list[int], max_rate: float) -> Checkpoint:
-    """A one-row block of three-phase spins at their lattice point."""
-    return Checkpoint(time, lattice_phases([spins], 3), np.array([-1.0]), np.array([spins]),
-                      np.array([max_rate]), np.array([np.nan]))
+def settle_times(states: list[tuple[float, list[list[int]], float]], settle_from: float) -> list:
+    """Each row's first settle time (None if it never settles) when `_checkpoint`
+    is called at each (time, spins, max_rate) state of a block of three-phase
+    rows: its phases at their lattice points and k1 at that rate everywhere."""
+    graph = Graph(3, [(0, 1), (1, 2), (0, 2)])
+    params = DynamicsParams(t_on=settle_from, ramp=0.0)
+    cp = counts = None
+    for time, spins, rate in states:
+        theta = lattice_phases(spins, 3).T
+        cp, counts = _checkpoint(graph, params, theta, np.full(theta.shape, rate), time, cp, counts,
+                                 np.zeros(len(spins), bool), list(range(len(spins))), 25)
+    return [None if np.isnan(at) else at for at in cp.settled_at]
 
 
-def constant_checkpoints(spins: list[int], count: int, stride: float = 0.5) -> list[Checkpoint]:
-    return [lattice_checkpoint(i * stride, spins, 0.0) for i in range(count)]
+def first_settle(states: list[tuple[float, list[int], float]], settle_from: float):
+    """First settle time of a one-row block at its (time, spins, max_rate) states."""
+    return settle_times([(time, [spins], rate) for time, spins, rate in states], settle_from)[0]
 
 
-def first_settle(checkpoints: list[Checkpoint], settle_from: float):
-    """Time of the first checkpoint at which the settle counter of a
-    one-row block reports a settle."""
-    counts = spins = None
-    for cp in checkpoints:
-        counts, settled = _settle_step(counts, spins, cp.spins, cp.max_rate, cp.time, settle_from)
-        spins = cp.spins
-        if settled[0]:
-            return cp.time
-    return None
+def constant_states(spins: list[int], count: int, stride: float = 0.5) -> list:
+    return [(i * stride, spins, 0.0) for i in range(count)]
 
 
-class TestDetectConvergence:
+class TestSettleRule:
     def test_constant_trajectory_converges_at_window(self):
-        cps = constant_checkpoints([0, 1, 2], count=10)
-        assert first_settle(cps, 0.0) == cps[CONVERGENCE_WINDOW - 1].time
+        states = constant_states([0, 1, 2], count=10)
+        assert first_settle(states, 0.0) == states[CONVERGENCE_WINDOW - 1][0]
 
     def test_flickering_coloring_never_converges(self):
         a, b = [0, 1, 2], [1, 2, 0]
-        cps = [lattice_checkpoint(i * 0.5, a if i % 2 else b, 0.0) for i in range(10)]
-        assert first_settle(cps, 0.0) is None
+        states = [(i * 0.5, a if i % 2 else b, 0.0) for i in range(10)]
+        assert first_settle(states, 0.0) is None
 
     def test_settle_counts_from_settle_from(self):
-        cps = constant_checkpoints([0, 1, 2], count=30)
-        assert first_settle(cps, 10.0) == 10.0
-        assert first_settle(cps, 20.0) is None
+        states = constant_states([0, 1, 2], count=30)
+        assert first_settle(states, 10.0) == 10.0
+        assert first_settle(states, 20.0) is None
 
     def test_rows_settle_on_their_own_counts(self):
         # one row holds its coloring; the other flickers, then holds from t = 2
-        a, b = np.array([0, 1, 2]), np.array([1, 2, 0])
-        counts = spins = None
-        settle_times = [None, None]
-        for i in range(12):
-            now = np.stack([a, b if i % 2 and i < 5 else a])
-            counts, settled = _settle_step(counts, spins, now, np.zeros(2), i * 0.5, 0.0)
-            spins = now
-            for row in np.flatnonzero(settled):
-                settle_times[row] = settle_times[row] or i * 0.5
-        assert settle_times == [(CONVERGENCE_WINDOW - 1) * 0.5, (4 + CONVERGENCE_WINDOW - 1) * 0.5]
+        a, b = [0, 1, 2], [1, 2, 0]
+        states = [(i * 0.5, [a, b if i % 2 and i < 5 else a], 0.0) for i in range(12)]
+        assert settle_times(states, 0.0) == [(CONVERGENCE_WINDOW - 1) * 0.5,
+                                             (4 + CONVERGENCE_WINDOW - 1) * 0.5]
 
     def test_high_rate_blocks_convergence(self):
-        cps = [lattice_checkpoint(i * 0.5, [0, 1, 2], 1.0) for i in range(10)]
-        assert first_settle(cps, 0.0) is None
+        states = [(i * 0.5, [0, 1, 2], 1.0) for i in range(10)]
+        assert first_settle(states, 0.0) is None
 
 class TestWrapPhases:
     @pytest.mark.parametrize("params", [

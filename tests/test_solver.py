@@ -37,8 +37,8 @@ def run_alone(graph, params, seed):
     return _run_task(((graph, params, None), [seed]))[0]
 
 
-class TestSolveOnce:
-    """A restart run alone, as a block of one row."""
+class TestRunTask:
+    """`_run_task`: restart runs scored from their last checkpoints, most of them alone."""
 
     def test_edgeless_graph_scores_perfect(self):
         graph = Graph(5, np.empty((0, 2), dtype=int))
