@@ -23,7 +23,7 @@ target the real values differ in their last digits.
 To compare another tree, copy this file into that tree's `scripts/` and run
 it there too.  The trees agree when `diff -r DEST_A DEST_B` prints nothing;
 `scripts/compare_reports.py DEST_A/reports DEST_B/reports` explains a
-difference in the reports run by run.  The set took 25-28 s on a shared
+difference in the reports run by run.  The set took 27-30 s on a shared
 2-vCPU host (Python 3.11.7, numpy 2.4.6).
 """
 from __future__ import annotations
@@ -77,6 +77,11 @@ def commands(dest: Path) -> list[tuple[str, list[str], str | None]]:
                                 "--t-on", "0", "--ramp", "2"], ".csv"),
         ("detune_json", ["detune", flat_30, "--iters", "2", "--format", "json", "--jobs", "2"],
          ".json"),
+        # a nonzero base seed: run i takes seed 1000 + i, in a solve and in a sweep's rows
+        ("solve_seed_1000", ["solve", flat_30, "--iters", "10", "--seed", "1000", "--jobs", "2"],
+         ".json"),
+        ("detune_seed_1000", ["detune", flat_30, "--iters", "2", "--deltas", "0,30",
+                              "--seed", "1000"], ".csv"),
         # fails: the coupling-unstable run's Lyapunov value rises
         ("solve_kc40", ["solve", flat_200, "--kc", "40", "--iters", "3"], None),
         # fail: the sweep refuses a rate it would not run; the horizon overflows the step count

@@ -107,7 +107,8 @@ class DynamicsParams:
 class Checkpoint:
     """The running rows of a block at time `time`: row r of the (rows, n) `phases` and
     `spins` (the rounded coloring) arrays is running row r, with entry r of the `lyapunov`,
-    `max_rate` (max |dtheta/dt|) and `settled_at` (first settle time, NaN before) arrays."""
+    `max_rate` (max |dtheta/dt|), `settled_at` (first settle time, NaN before) and `repeats`
+    (how many checkpoints in a row before this one had the row's coloring) arrays."""
 
     time: float
     phases: np.ndarray
@@ -115,6 +116,7 @@ class Checkpoint:
     spins: np.ndarray
     max_rate: np.ndarray
     settled_at: np.ndarray
+    repeats: np.ndarray
 
 
 class _BlockEdges:
@@ -214,15 +216,14 @@ def random_init(n: int, seed: int) -> np.ndarray:
 
 
 def _checkpoint(graph: Graph, params: DynamicsParams, theta: np.ndarray, k1: np.ndarray, t: float,
-                prev: Optional[Checkpoint], counts: Optional[np.ndarray], flows: np.ndarray,
-                seeds: Sequence[int], steps: int) -> tuple[Checkpoint, np.ndarray]:
+                prev: Optional[Checkpoint], flows: np.ndarray, seeds: Sequence[int],
+                steps: int) -> Checkpoint:
     """The Checkpoint at time t of the running rows (phases and velocities the
     columns of `theta` and `k1`), ``steps`` steps after ``prev`` (None at the
-    first), and their new settle counts.  It alone rounds a row to its coloring,
-    counts it, takes its Lyapunov value and checks that for a rise.
+    first).  It alone rounds a row to its coloring, tracks its repeats, takes
+    its Lyapunov value and checks that for a rise.
 
-    A count is how many checkpoints in a row, up to ``prev``, had the row's
-    coloring.  The row settles when it reaches CONVERGENCE_WINDOW - 1, max
+    A row settles when its repeats reach CONVERGENCE_WINDOW - 1, max
     |dtheta/dt| is below CONVERGENCE_EPS and t >= ramp_end (before, unmoved
     phases would count as settled).  A fixed gradient flow (``flows`` set)
     whose Lyapunov value exceeds ``prev``'s by 1e-6 per edge and step while the
@@ -236,9 +237,9 @@ def _checkpoint(graph: Graph, params: DynamicsParams, theta: np.ndarray, k1: np.
     lyap = lyapunov(graph, phases, params.coupling_gain, params.shil_gain_max * params.envelope(t),
                     params.n_phases)
     if prev is None:
-        counts, settled_at = np.zeros(len(spins), dtype=np.int64), np.full(len(spins), np.nan)
+        repeats, settled_at = np.zeros(len(spins), dtype=np.int64), np.full(len(spins), np.nan)
     else:
-        counts = np.where((spins == prev.spins).all(axis=1), counts + 1, 0)
+        repeats = np.where((spins == prev.spins).all(axis=1), prev.repeats + 1, 0)
         settled_at = prev.settled_at
         if t < params.t_on or prev.time >= params.ramp_end:
             risen = flows & (lyap > prev.lyapunov + 1e-6 * graph.num_edges * steps)
@@ -247,9 +248,9 @@ def _checkpoint(graph: Graph, params: DynamicsParams, theta: np.ndarray, k1: np.
                 raise IntegrationDivergedError(
                     f"run with seed {seeds[k]}: Lyapunov value rose from {prev.lyapunov[k]:g} to "
                     f"{lyap[k]:g} between t={prev.time:g} and t={t:g} cycles (reduce dt or the gains)")
-    settled = (counts >= CONVERGENCE_WINDOW - 1) & (max_rate < CONVERGENCE_EPS) & (t >= params.ramp_end)
+    settled = (repeats >= CONVERGENCE_WINDOW - 1) & (max_rate < CONVERGENCE_EPS) & (t >= params.ramp_end)
     settled_at = np.where(settled & np.isnan(settled_at), t, settled_at)
-    return Checkpoint(t, phases, lyap, spins, max_rate, settled_at), counts
+    return Checkpoint(t, phases, lyap, spins, max_rate, settled_at, repeats)
 
 
 def integrate_block(
@@ -303,8 +304,8 @@ def integrate_block(
     flows = (rates == 0) & (rngs is None)
 
     # block indices of the rows still running, in the order of the arrays
-    # below, their settle counts and their last checkpoint
-    rows, counts, cp = np.arange(len(seeds)), None, None
+    # below, and their last checkpoint (None before the first)
+    rows, cp = np.arange(len(seeds)), None
     # one rate per running row, None if no row is detuned (only fixed
     # gradient flows leave a block early, so a detuned row stays to the end)
     detuning = rates if rates.any() else None
@@ -342,8 +343,8 @@ def integrate_block(
                 # the next step's k1 is also the velocity a checkpoint there reports
                 k1 = f(theta, (i + 1) * dt)
             # k1 is the velocity at the checkpoint
-            cp, counts = _checkpoint(graph, params, theta, k1, stop * dt, cp, counts, flows[rows],
-                                     [seeds[r] for r in rows], stop - start)
+            cp = _checkpoint(graph, params, theta, k1, stop * dt, cp, flows[rows],
+                             [seeds[r] for r in rows], stop - start)
         yield rows, cp
         # every running row ends at the last step; a flow that can exit has
         # not settled before, or it would have left then
@@ -352,7 +353,7 @@ def integrate_block(
             return
         if ends.any():
             keep = ~ends
-            rows, counts, theta, k1 = rows[keep], counts[keep], theta[:, keep], k1[:, keep]
+            rows, theta, k1 = rows[keep], theta[:, keep], k1[:, keep]
             cp = Checkpoint(cp.time, *(getattr(cp, fld.name)[keep] for fld in fields(cp)[1:]))
             detuning = None if detuning is None else detuning[keep]
             edges.resize(len(rows))

@@ -39,15 +39,6 @@ HISTOGRAM_BINS = 100
 # 2000-vertex rnd_2000 took 14.25-16.03 at R = 1 and 11.19-12.47 at R = 20.
 LOCKSTEP_ROWS = 20
 
-# Readout operating point for lattice-deviation measurements: the deviation
-# of a settled phase from its lattice target scales like 1/shil_gain, so the
-# sweep needs a SHIL strength that dominates the residual coupling torque
-# (the solve-protocol gain of 2 floors the deviation near 10 degrees).  The
-# smaller step keeps RK4 stable at that gain.
-DETUNE_SHIL_GAIN = 60.0
-DETUNE_DT = 0.008
-DETUNE_T_MAX = 40.0
-
 
 def __getattr__(name: str):
     # PEP 562: the process-pool stack (multiprocessing, socket, queue ...) is
@@ -228,7 +219,11 @@ def solve_multi(
 
 def detune_protocol_params() -> DynamicsParams:
     """Default operating point for lattice-deviation (detuning) sweeps."""
-    return DynamicsParams(shil_gain_max=DETUNE_SHIL_GAIN, dt=DETUNE_DT, t_max=DETUNE_T_MAX)
+    # the deviation of a settled phase from its lattice target scales like
+    # 1/shil_gain, so the sweep needs a SHIL strength that dominates the
+    # residual coupling torque (the solve-protocol gain of 2 floors the
+    # deviation near 10 degrees); the smaller step keeps RK4 stable at that gain
+    return DynamicsParams(shil_gain_max=60.0, dt=0.008, t_max=40.0)
 
 
 def _detune_task(block: tuple) -> list[float]:

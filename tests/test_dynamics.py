@@ -12,6 +12,7 @@ from pottsim import DynamicsParams, dynamics
 from pottsim.graph_io import Graph
 from pottsim.potts import TWO_PI, accuracy, lattice_deviation, lyapunov, quantize
 from pottsim.dynamics import (
+    CONVERGENCE_EPS,
     CONVERGENCE_WINDOW,
     Checkpoint,
     IntegrationDivergedError,
@@ -22,7 +23,7 @@ from pottsim.dynamics import (
     random_init,
 )
 
-from conftest import random_colorable_graph
+from conftest import load_benchmark, random_colorable_graph
 from helpers import last_checkpoint, lattice_phases, run_checkpoints, velocity
 from strategies import graphs
 
@@ -357,17 +358,16 @@ class TestIntegrate:
         params, seeds = DynamicsParams(), [11, 12, 13]
         theta = np.stack([random_init(4, seed) for seed in seeds], axis=1)
         k1 = np.zeros_like(theta)
-        first, counts = _checkpoint(k4, params, theta, k1, 20.0, None, None,
-                                    np.ones(3, bool), seeds, 0)
+        first = _checkpoint(k4, params, theta, k1, 20.0, None, np.ones(3, bool), seeds, 0)
         # the same phases 25 steps later, against a value of row 2 that was 1 lower
         prev = dataclasses.replace(first, lyapunov=first.lyapunov - [0.0, 0.0, 1.0])
 
         def check(flows):
-            return _checkpoint(k4, params, theta, k1, 20.5, prev, counts, np.array(flows), seeds, 25)
+            return _checkpoint(k4, params, theta, k1, 20.5, prev, np.array(flows), seeds, 25)
 
         with pytest.raises(IntegrationDivergedError, match="seed 13: Lyapunov value rose"):
             check([True, True, True])
-        cp, _ = check([True, True, False])
+        cp = check([True, True, False])
         assert cp.lyapunov.tolist() == first.lyapunov.tolist()
 
     def test_equivariant_under_lattice_rotation(self):
@@ -523,6 +523,31 @@ class TestIntegrate:
             assert seen[-1][0] == seen[-1][1]
             assert all(np.isnan(at) for _, at in seen[:-1])
 
+    def test_repeats_follow_each_rows_spins_across_compactions(self):
+        # rows leave the block at several times, and each compaction must
+        # carry every remaining row's repeat count with it
+        graph, params, seeds = load_benchmark("flat_30_60-1"), DynamicsParams(), list(range(20))
+        stream = integrate_block(graph, [random_init(30, s) for s in seeds], params, seeds,
+                                 settle_exit=True)
+        seen = {r: [] for r in seeds}
+        for rows, cp in stream:
+            for i, r in enumerate(rows):
+                seen[r].append((cp.time, cp.spins[i], cp.repeats[i], cp.max_rate[i],
+                                cp.settled_at[i]))
+        assert len({states[-1][0] for states in seen.values()}) > 1
+        for states in seen.values():
+            run, prev = 0, None
+            for time, spins, repeats, max_rate, settled_at in states:
+                run = run + 1 if prev is not None and np.array_equal(spins, prev) else 0
+                prev = spins
+                assert repeats == run
+            first = next(time for time, _, repeats, max_rate, _ in states
+                         if repeats >= CONVERGENCE_WINDOW - 1 and max_rate < CONVERGENCE_EPS
+                         and time >= params.ramp_end)
+            # a settled flow leaves at its first settle
+            assert states[-1][0] == states[-1][4] == first
+            assert all(np.isnan(at) for *_, at in states[:-1])
+
     def test_a_suspended_block_keeps_the_callers_error_state(self, k3):
         # the block ignores overflow and invalid values in its own steps
         # only: numpy keeps that setting in a context variable, so a block
@@ -546,11 +571,11 @@ def settle_times(states: list[tuple[float, list[list[int]], float]], settle_from
     rows: its phases at their lattice points and k1 at that rate everywhere."""
     graph = Graph(3, [(0, 1), (1, 2), (0, 2)])
     params = DynamicsParams(t_on=settle_from, ramp=0.0)
-    cp = counts = None
+    cp = None
     for time, spins, rate in states:
         theta = lattice_phases(spins, 3).T
-        cp, counts = _checkpoint(graph, params, theta, np.full(theta.shape, rate), time, cp, counts,
-                                 np.zeros(len(spins), bool), list(range(len(spins))), 25)
+        cp = _checkpoint(graph, params, theta, np.full(theta.shape, rate), time, cp,
+                         np.zeros(len(spins), bool), list(range(len(spins))), 25)
     return [None if np.isnan(at) else at for at in cp.settled_at]
 
 

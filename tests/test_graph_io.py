@@ -71,6 +71,10 @@ class TestParse:
         with pytest.raises(DimacsError, match="line 2"):
             parse_dimacs("p edge 2 1\np edge 2 1")
 
+    def test_second_problem_line(self):
+        with pytest.raises(DimacsError, match="line 3: second problem line"):
+            parse_dimacs("p edge 2 1\ne 1 2\np edge 2 1\n")
+
     def test_duplicate_edges_warn(self):
         text = "p edge 3 2\ne 1 2\ne 2 1\ne 2 3\ne 2 3"
         with pytest.warns(UserWarning, match="2 duplicate"):
