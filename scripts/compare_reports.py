@@ -6,8 +6,10 @@
 Reads every pottsim table, JSON or CSV: `solve`/`ablate` reports, `bench`
 summaries, `detune` sweeps and `landscape` curves.  Prints one markdown
 table row per report: the number of records, whether every discrete value
-is equal (per run: seed, accuracy, delta_energy and cycles; per detune row:
-delta; per landscape row: index; per bench row: the whole row), whether
+is equal (the head: a JSON report's keys other than its runs or rows, or a
+CSV table's comment and header lines; per run: seed, accuracy, delta_energy
+and cycles; per detune row: delta; per landscape row: index; per bench row:
+the whole row), whether
 every real value is bit-equal (`vector_energy`, a detune row's mean
 deviation, or a landscape energy), the largest |difference| in those real
 values, and whether the files are byte-identical.
@@ -52,6 +54,14 @@ def rows(path: Path) -> list[dict]:
     return [dict(zip(columns, map(_cell, line.split(",")))) for line in lines[2:]]
 
 
+def head(path: Path):
+    """What a table holds outside its rows: a JSON report's other keys (params,
+    aggregate ...), or a CSV table's `# {json}` comment and header lines."""
+    if path.suffix == ".json":
+        return {k: v for k, v in json.loads(path.read_text()).items() if k not in ("runs", "rows")}
+    return path.read_text().splitlines()[:2]
+
+
 def records(path: Path) -> list[tuple[tuple, float | None]]:
     """(discrete values, real value) per run, detune row, landscape row or bench row."""
     table = rows(path)
@@ -72,7 +82,7 @@ def compare(old: Path, new: Path) -> tuple[bool, str]:
     same_bytes = "yes" if old.read_bytes() == new.read_bytes() else "no"
     if len(a) != len(b):
         return False, f"| {old.name} | {len(a)} vs {len(b)} | NO | - | - | {same_bytes} |"
-    discrete = all(x == y for (x, _), (y, _) in zip(a, b))
+    discrete = head(old) == head(new) and all(x == y for (x, _), (y, _) in zip(a, b))
     reals = [(x, y) for (_, x), (_, y) in zip(a, b) if x is not None]
     if not reals:
         real_equal, largest = "-", "-"

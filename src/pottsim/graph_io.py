@@ -5,6 +5,8 @@ Every edge is one unit repulsive coupling: a .col edge line carries no weight.
 from __future__ import annotations
 
 import json
+import numbers
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -28,10 +30,17 @@ class Graph:
     edges: np.ndarray
 
     def __post_init__(self):
-        if self.num_vertices < 1:
+        n = self.num_vertices
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            raise ValueError(f"num_vertices must be an integer, got {n!r}")
+        if n < 1:
             raise ValueError("num_vertices must be positive")
-        edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
-        edges = np.sort(edges, axis=1)
+        edges = np.asarray(self.edges, dtype=np.int64)
+        if edges.size and (edges.ndim != 2 or edges.shape[1] != 2):
+            raise ValueError(f"edges must be an (m, 2) array, got shape {edges.shape}")
+        # an empty edge array may have any shape
+        edges = np.sort(edges.reshape(-1, 2), axis=1)
+        object.__setattr__(self, "num_vertices", operator.index(n))
         object.__setattr__(self, "edges", edges)
         if edges.size:
             if edges.min() < 0 or edges.max() >= self.num_vertices:

@@ -5,7 +5,7 @@ brute-force enumeration of every lattice configuration.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,30 +21,27 @@ class Landscape:
 
     energies holds the vector-Potts energy of every one of the N^|V| lattice
     configurations, sorted ascending.  Local minima are counted under the
-    single-vertex spin-change neighbourhood.
+    single-vertex spin-change neighbourhood.  n_states is len(energies).
     """
 
-    n_states: int
+    n_states: int = field(init=False)
     energies: np.ndarray
     min_energy: float
     num_global_minima: int
     num_local_minima: int
 
     def __post_init__(self):
-        if self.n_states != len(self.energies):
-            raise ValueError("n_states must match the energy sequence length")
+        object.__setattr__(self, "n_states", len(self.energies))
         if self.num_global_minima < 1 or self.num_local_minima < self.num_global_minima:
             raise ValueError("minima counts inconsistent")
 
 
-def _guard(n_phases: int, num_vertices: int, what: str) -> int:
-    """The state count N^V, or ValueError beyond the guard.  The message writes
+def _guard(n_phases: int, num_vertices: int, what: str):
+    """ValueError if the state count N^V exceeds the guard.  The message writes
     the count as a power: it can be too large to convert to a float."""
-    n_states = n_phases**num_vertices
-    if n_states > ENUMERATION_GUARD:
+    if n_phases**num_vertices > ENUMERATION_GUARD:
         raise ValueError(f"{what}: {n_phases}^{num_vertices} states exceeds "
                          f"the enumeration guard of {ENUMERATION_GUARD}")
-    return n_states
 
 
 def enumerate_landscape(graph: Graph, n_phases: int) -> Landscape:
@@ -55,7 +52,7 @@ def enumerate_landscape(graph: Graph, n_phases: int) -> Landscape:
     distinct lattice energy levels.
     """
     n_phases = phase_count(n_phases)
-    n_states = _guard(n_phases, graph.num_vertices, "enumerate_landscape")
+    _guard(n_phases, graph.num_vertices, "enumerate_landscape")
     # one array with axis i holding vertex i's spin; each edge adds
     # costab[(s_u - s_v) % N] on axes u and v, in edge order and with u < v
     # as Graph stores it (cos(2*pi*k/N) and cos(2*pi*(N-k)/N) differ in bits)
@@ -80,4 +77,4 @@ def enumerate_landscape(graph: Graph, n_phases: int) -> Landscape:
     energies.sort()
     min_energy = float(energies[0])
     num_global = int(np.count_nonzero(energies <= min_energy + tol))
-    return Landscape(n_states, energies, min_energy, num_global, int(np.count_nonzero(is_local)))
+    return Landscape(energies, min_energy, num_global, int(np.count_nonzero(is_local)))

@@ -69,27 +69,34 @@ class RunRecord:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Per-run records plus their aggregate statistics."""
+    """Per-run records and their aggregate statistics.  It is built from its
+    runs alone: the six aggregate fields are set once, from the runs."""
 
     benchmark: str
     params: dict
     runs: tuple[RunRecord, ...]
-    avg_accuracy: float
-    best_accuracy: float
-    histogram: tuple[int, ...]
-    mean_cycles: Optional[float]
-    num_converged: int
-    num_runs: int
+    avg_accuracy: float = dataclasses.field(init=False)
+    best_accuracy: float = dataclasses.field(init=False)
+    histogram: tuple[int, ...] = dataclasses.field(init=False)
+    mean_cycles: Optional[float] = dataclasses.field(init=False)
+    num_converged: int = dataclasses.field(init=False)
+    num_runs: int = dataclasses.field(init=False)
 
     def __post_init__(self):
-        if self.num_runs != len(self.runs):
-            raise ValueError("num_runs disagrees with the record count")
-        if sum(self.histogram) != self.num_runs:
-            raise ValueError("histogram mass must equal the run count")
-        if self.best_accuracy < self.avg_accuracy - 1e-12:
-            raise ValueError("best accuracy below average")
         if any(not 0.0 <= r.accuracy <= 1.0 for r in self.runs):
             raise ValueError("accuracy outside [0, 1]")
+        accs = np.array([r.accuracy for r in self.runs])
+        hist, _ = np.histogram(accs, bins=np.linspace(0.0, 1.0, HISTOGRAM_BINS + 1))
+        converged = [r.cycles for r in self.runs if r.cycles is not None]
+        for name, value in (
+            ("avg_accuracy", float(np.mean(accs))),
+            ("best_accuracy", float(np.max(accs))),
+            ("histogram", tuple(int(c) for c in hist)),
+            ("mean_cycles", float(np.mean(converged)) if converged else None),
+            ("num_converged", len(converged)),
+            ("num_runs", len(self.runs)),
+        ):
+            object.__setattr__(self, name, value)
 
 
 def effective_config(
@@ -146,23 +153,9 @@ def _params_for_mode(params: DynamicsParams, mode: Optional[AblationMode]) -> Dy
     return params
 
 
-def _aggregate(
-    benchmark: str, cfg: dict, records: Sequence[RunRecord]
-) -> SolveReport:
-    accs = np.array([r.accuracy for r in records])
-    hist, _ = np.histogram(accs, bins=np.linspace(0.0, 1.0, HISTOGRAM_BINS + 1))
-    converged = [r.cycles for r in records if r.cycles is not None]
-    return SolveReport(
-        benchmark=benchmark,
-        params=cfg,
-        runs=tuple(records),
-        avg_accuracy=float(np.mean(accs)),
-        best_accuracy=float(np.max(accs)),
-        histogram=tuple(int(c) for c in hist),
-        mean_cycles=float(np.mean(converged)) if converged else None,
-        num_converged=len(converged),
-        num_runs=len(records),
-    )
+# its own function so that a tracer can time the aggregate as one span
+def _aggregate(benchmark: str, cfg: dict, records: Sequence[RunRecord]) -> SolveReport:
+    return SolveReport(benchmark, cfg, tuple(records))
 
 
 def _run_batch(task, shared: tuple, rows: Sequence, jobs: int) -> list:

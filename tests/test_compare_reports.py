@@ -65,6 +65,38 @@ def test_changed_discrete_value_fails(report_dirs, capsys, field, change):
     assert "| solve.json | 3 | NO |" in capsys.readouterr().out
 
 
+def edit_json(path: Path, *keys, value):
+    doc = json.loads(path.read_text())
+    inner = doc
+    for key in keys[:-1]:
+        inner = inner[key]
+    inner[keys[-1]] = value
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+
+
+def edit_comment(path: Path, key, value):
+    lines = path.read_text().split("\n")
+    doc = json.loads(lines[0][2:])
+    doc["params"][key] = value
+    lines[0] = "# " + json.dumps(doc)
+    path.write_text("\n".join(lines))
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("solve.json", lambda p: edit_json(p, "aggregate", "num_converged", value=99)),
+    ("solve.json", lambda p: edit_json(p, "params", "dynamics", "dt", value=0.5)),
+    ("detune.csv", lambda p: edit_comment(p, "iterations", 7)),
+], ids=["aggregate", "params", "csv-comment"])
+def test_changed_head_fails(report_dirs, capsys, name, edit):
+    # the rows are untouched: only what the table holds outside them differs
+    old, new = report_dirs
+    edit(new / name)
+    assert compare_reports.rows(new / name) == compare_reports.rows(old / name)
+    assert compare_reports.main([str(old), str(new)]) == 1
+    row = [r for r in capsys.readouterr().out.splitlines() if f"| {name} |" in r][0]
+    assert "| NO |" in row
+
+
 def test_reader_closing_early_ends_quietly(report_dirs):
     # rows enough to fill the pipe, so that writes meet the closed reader
     old, new = report_dirs

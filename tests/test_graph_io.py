@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -113,6 +114,30 @@ class TestGraphValidation:
     def test_edge_rows_normalized(self):
         g = Graph(4, [(3, 1), (2, 0)])
         assert g.edges.tolist() == [[1, 3], [0, 2]]
+
+    @pytest.mark.parametrize("num_vertices, edges, shape", [
+        (4, [[0, 1, 2, 3]], "(1, 4)"),
+        (3, [[0, 1, 2], [0, 2, 1]], "(2, 3)"),
+        (3, [0, 1, 1, 2], "(4,)"),
+    ])
+    def test_rejects_edges_not_m_by_2(self, num_vertices, edges, shape):
+        message = f"edges must be an (m, 2) array, got shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Graph(num_vertices, edges)
+
+    def test_empty_edges_keep_any_shape(self):
+        assert Graph(1, []).edges.shape == Graph(2, np.zeros((0, 3))).edges.shape == (0, 2)
+
+    @pytest.mark.parametrize("num_vertices", [3.5, np.float64(3.0), True, "3"],
+                             ids=["float", "numpy-float", "bool", "str"])
+    def test_rejects_non_integer_vertex_count(self, num_vertices):
+        message = f"num_vertices must be an integer, got {num_vertices!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Graph(num_vertices, [(0, 1)])
+
+    def test_vertex_count_stored_as_int(self):
+        g = Graph(np.int64(3), [(0, 1)])
+        assert type(g.num_vertices) is int and g.num_vertices == 3
 
 
 class TestWrite:

@@ -340,3 +340,22 @@ class TestReports:
     def test_config_survives_json(self, report):
         cfg = json.loads(json.dumps(report.params))
         assert DynamicsParams(**cfg["dynamics"], **cfg["schedule"]) == FAST
+
+    def test_report_derives_its_aggregate(self):
+        def report(*runs):
+            records = [solver.RunRecord(seed, acc, 0.0, 0.0, cycles)
+                       for seed, (acc, cycles) in enumerate(runs)]
+            return solver.SolveReport("x", {}, tuple(records))
+
+        r = report((1.0, 12.0), (0.0, None), (0.5, 15.0))
+        assert (r.num_runs, r.num_converged, r.mean_cycles) == (3, 2, 13.5)
+        assert (r.avg_accuracy, r.best_accuracy) == (0.5, 1.0)
+        # one run each in bins 0, 50 and 99: the last bin is closed
+        assert len(r.histogram) == solver.HISTOGRAM_BINS
+        assert {i: c for i, c in enumerate(r.histogram) if c} == {0: 1, 50: 1, 99: 1}
+        assert report((0.5, None)).mean_cycles is None
+        with pytest.raises(TypeError):
+            solver.SolveReport("x", {}, r.runs, avg_accuracy=0.5)
+        for bad in (1.5, float("nan")):
+            with pytest.raises(ValueError, match=r"accuracy outside \[0, 1\]"):
+                report((bad, None))
