@@ -13,8 +13,9 @@ DEST it writes, per command NAME:
     logs/NAME.stderr            its stderr
     logs/NAME.exit              its exit code
 
-with DEST's own path written as the literal `DEST`, so that two trees run
-into different DESTs compare equal.  `gen` writes its instance and sidecar
+with DEST's own path written as the literal `DEST` and the tree's as `ROOT`
+(a warning names the file that raised it), so that two trees run into
+different DESTs compare equal.  `gen` writes its instance and sidecar
 under gen/, not reports/, since a sidecar is no table.  logs/numpy.json
 holds numpy's version and the CPU dispatch target of the kernels whose bits
 reach a report (np.tan in the RHS, np.arctan2 behind np.angle): on another
@@ -23,7 +24,7 @@ target the real values differ in their last digits.
 To compare another tree, copy this file into that tree's `scripts/` and run
 it there too.  The trees agree when `diff -r DEST_A DEST_B` prints nothing;
 `scripts/compare_reports.py DEST_A/reports DEST_B/reports` explains a
-difference in the reports run by run.  The set took 27-30 s on a shared
+difference in the reports run by run.  The set took 26-30 s on a shared
 2-vCPU host (Python 3.11.7, numpy 2.4.6).
 """
 from __future__ import annotations
@@ -40,7 +41,10 @@ K3 = "p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n"
 # `pottsim gen --n 7 --m 10 --k 3 --seed 0`: its landscape spans several chunks
 G7 = "p edge 7 10\n" + "".join(f"e {u} {v}\n" for u, v in (
     (1, 2), (1, 3), (1, 7), (2, 4), (2, 5), (2, 6), (2, 7), (3, 5), (3, 6), (3, 7)))
-GRAPHS = {"k3.col": K3, "g7.col": G7}
+# edge 1-2 given in both orientations and a header edge count over the 3 distinct
+# edges: parse_dimacs drops the duplicate and warns twice
+DUP = "p edge 4 4\ne 1 2\ne 2 3\ne 2 1\ne 3 4\n"
+GRAPHS = {"k3.col": K3, "g7.col": G7, "dup.col": DUP}
 
 
 def commands(dest: Path) -> list[tuple[str, list[str], str | None]]:
@@ -93,6 +97,8 @@ def commands(dest: Path) -> list[tuple[str, list[str], str | None]]:
          None),
         ("landscape_k3", ["landscape", str(dest / "k3.col")], ".csv"),
         ("landscape_g7", ["landscape", str(dest / "g7.col"), "--n-phases", "6"], ".csv"),
+        ("solve_dup", ["solve", str(dest / "dup.col"), "--iters", "3"], ".json"),
+        ("landscape_dup", ["landscape", str(dest / "dup.col")], ".csv"),
         ("gen", ["gen", "--n", "300", "--m", "700", "--k", "4", "--seed", "3",
                  "--out", str(dest / "gen" / "planted.col")], None),
         ("help", ["--help"], None),
@@ -126,13 +132,17 @@ def main(argv=None) -> int:
         (dest / name).write_text(text)
     (dest / "logs" / "numpy.json").write_text(numpy_provenance())
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+    def scrub(out: bytes) -> bytes:
+        return out.replace(bytes(dest), b"DEST").replace(bytes(ROOT), b"ROOT")
+
     for name, args, suffix in commands(dest):
         print(f"{name}: pottsim {' '.join(args)}", flush=True)
         proc = subprocess.run([sys.executable, "-m", "pottsim.cli", *args], cwd=ROOT, env=env,
                               capture_output=True)
         stdout = dest / "reports" / f"{name}{suffix}" if suffix else dest / "logs" / f"{name}.stdout"
-        stdout.write_bytes(proc.stdout.replace(bytes(dest), b"DEST"))
-        (dest / "logs" / f"{name}.stderr").write_bytes(proc.stderr.replace(bytes(dest), b"DEST"))
+        stdout.write_bytes(scrub(proc.stdout))
+        (dest / "logs" / f"{name}.stderr").write_bytes(scrub(proc.stderr))
         (dest / "logs" / f"{name}.exit").write_text(f"{proc.returncode}\n")
     return 0
 

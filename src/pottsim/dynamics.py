@@ -123,25 +123,19 @@ class _BlockEdges:
     """The edges of a block of runs, indexed for its (n, rows) phase array,
     with buffers for the gathered (sin, cos) planes of their endpoints.
 
-    The buffers are allocated once, for the block's first row count (rows then
-    only leave), so no call maps and faults in fresh edge-sized memory; `resize`
-    takes leading C-contiguous views of them.  `take` fills them with
-    mode="clip", which never clips here: the endpoints are checked once, below.
+    `resize` allocates the planes for a row count, so no RHS call maps and
+    faults in fresh edge-sized memory.  `take` fills them with mode="clip",
+    which never clips: a Graph's endpoints are checked once and cannot change.
     (Under mode="raise", take buffers `out=` through a temporary.)
     """
 
     def __init__(self, graph: Graph, rows: int):
-        # contiguous copies: `take` would convert a strided index array per call
-        self.u, self.v = (np.ascontiguousarray(e) for e in graph.edge_arrays())
-        if self.u.size and (min(self.u.min(), self.v.min()) < 0
-                            or max(self.u.max(), self.v.max()) >= graph.num_vertices):
-            raise ValueError("edge endpoint out of range")
-        self._memory = np.empty((2, 2 * self.u.size * rows))
+        # writeable contiguous copies: `take` copies a strided or read-only index per call
+        self.u, self.v = (e.copy() for e in graph.edge_arrays())
         self.resize(rows)
 
     def resize(self, rows: int):
-        m = self.u.size
-        self.planes_u, self.planes_v = (b[:2 * m * rows].reshape(2, m, rows) for b in self._memory)
+        self.planes_u, self.planes_v = np.empty((2, 2, self.u.size, rows))
         # element (e, r) of an edge plane goes to bin u_e * rows + r of the
         # flattened phases, so every bin sums its terms in edge order
         r = np.arange(rows)

@@ -21,9 +21,10 @@ class DimacsError(ValueError):
 class Graph:
     """Undirected simple graph, 0-based vertex indices.
 
-    edges is an (m, 2) int array with each row stored as (min, max); row order
-    is preserved from the source (file order or generation order) and fixes
-    the summation order of all energy evaluations.
+    edges is a read-only (m, 2) int64 array with each row stored as (min,
+    max); row order is preserved from the source (file order or generation
+    order) and fixes the summation order of all energy evaluations.  A
+    non-empty edge array must have an integer dtype (not bool); it is checked once, here.
     """
 
     num_vertices: int
@@ -35,11 +36,14 @@ class Graph:
             raise ValueError(f"num_vertices must be an integer, got {n!r}")
         if n < 1:
             raise ValueError("num_vertices must be positive")
-        edges = np.asarray(self.edges, dtype=np.int64)
+        edges = np.asarray(self.edges)
+        # an empty edge array may have any shape and dtype
+        if edges.size and edges.dtype.kind not in "iu":
+            raise ValueError(f"edges must be integers, got dtype {edges.dtype}")
         if edges.size and (edges.ndim != 2 or edges.shape[1] != 2):
             raise ValueError(f"edges must be an (m, 2) array, got shape {edges.shape}")
-        # an empty edge array may have any shape
-        edges = np.sort(edges.reshape(-1, 2), axis=1)
+        edges = np.sort(edges.astype(np.int64).reshape(-1, 2), axis=1)
+        edges.flags.writeable = False
         object.__setattr__(self, "num_vertices", operator.index(n))
         object.__setattr__(self, "edges", edges)
         if edges.size:

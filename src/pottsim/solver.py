@@ -83,6 +83,8 @@ class SolveReport:
     num_runs: int = dataclasses.field(init=False)
 
     def __post_init__(self):
+        if not self.runs:
+            raise ValueError("a report needs at least one run")
         if any(not 0.0 <= r.accuracy <= 1.0 for r in self.runs):
             raise ValueError("accuracy outside [0, 1]")
         accs = np.array([r.accuracy for r in self.runs])

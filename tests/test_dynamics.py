@@ -233,15 +233,28 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("endpoint", [-1, 3])
     def test_out_of_range_endpoint_is_rejected(self, endpoint):
-        # Graph checks its endpoints, but its edge array stays writable; the
-        # gathers clamp indices, so the block checks them once itself
+        # the gathers clamp indices, so an out-of-range endpoint must never
+        # reach a block: Graph rejects it, and its edge array is read-only, so
+        # it cannot be written in after the check
+        with pytest.raises(ValueError, match="out of range"):
+            Graph(3, [(0, 1), (1, endpoint)])
         graph = Graph(3, [(0, 1), (1, 2)])
-        graph.edges[1, 1] = endpoint
-        state = np.array([0.0, 1.0, 2.0])
-        with pytest.raises(ValueError, match="out of range"):
-            next(integrate_block(graph, [state], DynamicsParams(t_max=1.0), [0]))
-        with pytest.raises(ValueError, match="out of range"):
-            velocity(graph, state, 1.0, 1.0, 3)
+        with pytest.raises(ValueError, match="read-only"):
+            graph.edges[1, 1] = endpoint
+        assert graph.edges.tolist() == [[0, 1], [1, 2]]
+
+    def test_block_gathers_the_checked_endpoints(self):
+        # Graph checks its endpoints once and keeps them read-only, so the
+        # gathers' mode="clip" never clips; the block keeps writeable contiguous
+        # copies, as `take` copies a strided or read-only index on every call
+        graph = Graph(3, [(0, 1), (1, 2)])
+        edges = _BlockEdges(graph, 2)
+        for got, want in zip((edges.u, edges.v), graph.edge_arrays()):
+            assert got.flags.c_contiguous and got.flags.writeable
+            assert got.tolist() == want.tolist()
+        # resize allocates its planes, so a block may also grow
+        edges.resize(5)
+        assert edges.planes_u.shape == edges.planes_v.shape == (2, 2, 5)
 
     def test_k3_solves_nearly_always(self, k3):
         # the 27-state landscape has no improper local minima, so the flow

@@ -125,6 +125,22 @@ class TestGraphValidation:
         with pytest.raises(ValueError, match=re.escape(message)):
             Graph(num_vertices, edges)
 
+    @pytest.mark.parametrize("edges, dtype", [
+        ([(0.7, 1.9)], "float64"),
+        (np.array([[0.7, 2.9]]), "float64"),
+        ([(True, False)], "bool"),
+    ], ids=["float", "numpy-float", "bool"])
+    def test_rejects_non_integer_edges(self, edges, dtype):
+        # truncating them would run another graph
+        with pytest.raises(ValueError, match=re.escape(f"edges must be integers, got dtype {dtype}")):
+            Graph(3, edges)
+
+    def test_edges_are_read_only(self):
+        g = Graph(3, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match="read-only"):
+            g.edges[0, 0] = 1
+        assert g.edges.tolist() == [[0, 1], [1, 2]]
+
     def test_empty_edges_keep_any_shape(self):
         assert Graph(1, []).edges.shape == Graph(2, np.zeros((0, 3))).edges.shape == (0, 2)
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -340,6 +341,13 @@ class TestReports:
     def test_config_survives_json(self, report):
         cfg = json.loads(json.dumps(report.params))
         assert DynamicsParams(**cfg["dynamics"], **cfg["schedule"]) == FAST
+
+    def test_report_needs_a_run(self):
+        # refused before any arithmetic, so numpy warns of no empty mean
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="^a report needs at least one run$"):
+                solver.SolveReport("x", {}, ())
 
     def test_report_derives_its_aggregate(self):
         def report(*runs):
