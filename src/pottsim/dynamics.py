@@ -1,7 +1,6 @@
 """Phase dynamics: Kuramoto-style coupling forces plus an N-SHIL locking term.
 
-Each vertex of the problem graph is one oscillator.  The phase vector evolves
-by gradient descent of the Lyapunov function in `potts.lyapunov`:
+Each vertex of the problem graph is one oscillator.  A run's phases follow
 
     dtheta_i/dt = K_c * sum_j sin(theta_i - theta_j)
                   - K_s(t) * sin(N * theta_i - delta * t)
@@ -15,6 +14,15 @@ a run: gains, noise, detuning, step, horizon and envelope.  A nonzero
 detuning rate `delta` rotates the SHIL lattice, modelling a stimulus
 frequency slightly off the exact N-th harmonic.  Time is measured in natural
 oscillator cycles.
+
+Every run is integrated in the SHIL frame phi = theta - delta * t / N, which
+rotates with the lattice:
+
+    dphi_i/dt = K_c * sum_j sin(phi_i - phi_j) - K_s(t) * sin(N * phi_i) - delta / N,
+
+descent of `potts.lyapunov` plus one constant drift per run.  RK4 commutes with
+the change of frame, so only roundoff moves (a run with delta = 0 keeps every
+bit), and phases, colorings and velocities are read against the fixed lattice.
 """
 from __future__ import annotations
 
@@ -107,8 +115,9 @@ class DynamicsParams:
 class Checkpoint:
     """The running rows of a block at time `time`: row r of the (rows, n) `phases` and
     `spins` (the rounded coloring) arrays is running row r, with entry r of the `lyapunov`,
-    `max_rate` (max |dtheta/dt|), `settled_at` (first settle time, NaN before) and `repeats`
-    (how many checkpoints in a row before this one had the row's coloring) arrays."""
+    `max_rate` (max |dphi/dt|), `settled_at` (first settle time, NaN before) and `repeats`
+    (how many checkpoints in a row before this one had the row's coloring) arrays, all in
+    the SHIL frame (module docstring)."""
 
     time: float
     phases: np.ndarray
@@ -144,19 +153,19 @@ class _BlockEdges:
 
 def _rhs_core(
     theta: np.ndarray,
-    t: float,
     edges: _BlockEdges,
     coupling_gain: float,
     shil_gain_now: float,
     n_phases: int,
-    detuning: np.ndarray | None,
+    drift: np.ndarray | None,
 ) -> np.ndarray:
-    """Phase velocities of a block of runs: row r of the block is column r of
-    the (n, rows) arrays `theta` and the result, and `edges` is sized for the
-    block.
+    """SHIL-frame phase velocities of a block of runs: row r of the block is
+    column r of the (n, rows) arrays `theta` and the result, and `edges` is
+    sized for the block.
 
     Each row's velocities have the bits of the run on its own (a block of one
-    row).  `detuning` is None when no row is detuned, else one rate per row.
+    row).  `drift` is None when no row is detuned, else delta / N per row,
+    subtracted from every velocity of its row.
 
     One transcendental pass serves the whole call: with h = tan(theta / 2),
     w = 2 / (1 + h^2) gives sin(theta) = h * w and cos(theta) = w - 1, and
@@ -164,8 +173,7 @@ def _rhs_core(
     recurrence U_k = 2 cos(theta) U_{k-1} - U_{k-2}.  One gather per edge end
     copies both planes of every row; each edge (u, v) then costs one
     sin(theta_u - theta_v) = s_u c_v - c_u s_v, added to u's bin and
-    subtracted from v's.  A detuned row rotates the SHIL term by delta * t
-    with one sine and cosine per row.
+    subtracted from v's.
     """
     sc = np.empty((2, *theta.shape))
     h = np.tan(0.5 * theta)
@@ -189,13 +197,9 @@ def _rhs_core(
         u_prev, u_cur = 1.0, two_c
         for _ in range(n_phases - 2):
             u_prev, u_cur = u_cur, two_c * u_cur - u_prev
-        shil = s * u_cur
-        if detuning is not None:
-            # sin(N theta - delta t) = sin(N theta) cos(delta t) - cos(N theta) sin(delta t),
-            # with cos(N theta) = cos(theta) U_{N-1} - U_{N-2}
-            phase = detuning * t
-            shil = shil * np.cos(phase) - (c * u_cur - u_prev) * np.sin(phase)
-        out -= shil_gain_now * shil
+        out -= shil_gain_now * (s * u_cur)
+    if drift is not None:
+        out -= drift
     return out
 
 
@@ -262,9 +266,10 @@ def integrate_block(
 
     Every row shares ``params``; row r starts from ``inits[r]`` with seed
     ``seeds[r]`` and rate ``detunings[r]`` (None: every row at
-    ``params.detuning``).  The rows form the columns of one (n, rows) phase
-    array, and each row's every step has the bits it has alone.  The initial
-    phases are taken mod 2*pi with np.mod's bits; a non-finite one
+    ``params.detuning``), in the SHIL frame (module docstring), so a detuned
+    row is read against the rotating lattice.  The rows form the columns of
+    one (n, rows) phase array, and each row's every step has the bits it has
+    alone.  The initial phases are taken mod 2*pi with np.mod's bits; a non-finite one
     raises ValueError, as every input check does, at the first ``next()``.
     Noise of std ``noise_amplitude * sqrt(dt)`` per step comes from a stream
     derived from the row's seed.  Phases are wrapped to [0, 2*pi] after every
@@ -300,12 +305,12 @@ def integrate_block(
     # block indices of the rows still running, in the order of the arrays
     # below, and their last checkpoint (None before the first)
     rows, cp = np.arange(len(seeds)), None
-    # one rate per running row, None if no row is detuned (only fixed
-    # gradient flows leave a block early, so a detuned row stays to the end)
-    detuning = rates if rates.any() else None
+    # the SHIL-frame drift delta / N per running row, None if no row is detuned
+    # (only fixed gradient flows leave a block early, so a detuned row stays to the end)
+    drift = rates / nph if rates.any() else None
 
     def f(theta: np.ndarray, t: float) -> np.ndarray:
-        return _rhs_core(theta, t, edges, kc, ks_max * params.envelope(t), nph, detuning)
+        return _rhs_core(theta, edges, kc, ks_max * params.envelope(t), nph, drift)
 
     # overflow to inf is caught by wrap_phases, so silence numpy's warnings first; never across
     # a yield, as numpy keeps this state in a context variable that the caller shares
@@ -349,6 +354,6 @@ def integrate_block(
             keep = ~ends
             rows, theta, k1 = rows[keep], theta[:, keep], k1[:, keep]
             cp = Checkpoint(cp.time, *(getattr(cp, fld.name)[keep] for fld in fields(cp)[1:]))
-            detuning = None if detuning is None else detuning[keep]
+            drift = None if drift is None else drift[keep]
             edges.resize(len(rows))
         start, stop = stop, min(stop + ckpt_every, steps)

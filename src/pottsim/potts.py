@@ -134,14 +134,7 @@ def lyapunov(
     return coupling_gain * vector_energy(graph, phases) - (shil_gain / n_phases) * well
 
 
-def lattice_deviation(phases: np.ndarray, n_phases: int,
-                      offset: float | np.ndarray = 0.0) -> np.ndarray:
-    """Circular distance (radians) of each phase to its nearest lattice phase.
-
-    ``offset`` rotates the lattice: deviations are measured against the grid
-    {(2*pi*s + offset) / N}, which is how a detuned (rotating) SHIL stimulus
-    defines its target phases at a given time.  An array broadcasts against
-    the phases, so a (rows, 1) column gives each row of a block its own.
-    """
-    resid = np.angle(np.exp(1j * (n_phases * np.asarray(phases, dtype=np.float64) - offset)))
+def lattice_deviation(phases: np.ndarray, n_phases: int) -> np.ndarray:
+    """Circular distance (radians) of each phase to its nearest lattice phase."""
+    resid = np.angle(np.exp(1j * (n_phases * np.asarray(phases, dtype=np.float64))))
     return np.abs(resid) / n_phases

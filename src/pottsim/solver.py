@@ -223,16 +223,16 @@ def detune_protocol_params() -> DynamicsParams:
 
 def _detune_task(block: tuple) -> list[float]:
     """Mean lattice deviation (radians) at t_max of each row of a block
-    ((graph, params), (seed, delta) rows), stepped in lockstep."""
+    ((graph, params), (seed, delta) rows), stepped in lockstep in the SHIL
+    frame, where the rotating lattice is the fixed one."""
     (graph, params), rows = block
     seeds, deltas = zip(*rows)
     inits = [random_init(graph.num_vertices, seed) for seed in seeds]
     # no settle exit: every row runs to t_max, and the last checkpoint holds them all
     for _, last in integrate_block(graph, inits, params, seeds, deltas):
         pass
-    offset = (np.array(deltas) * last.time)[:, None]
     # the deviations are C-contiguous, so each row's mean has its lone bits
-    return np.mean(lattice_deviation(last.phases, params.n_phases, offset=offset), axis=1).tolist()
+    return np.mean(lattice_deviation(last.phases, params.n_phases), axis=1).tolist()
 
 
 def detune_sweep(
@@ -248,7 +248,8 @@ def detune_sweep(
     For each detuning value the machine runs `iterations` times; the reported
     figure is the mean over runs and vertices of the circular distance from
     each final phase to the nearest target phase of the (rotating) SHIL
-    stimulus, converted to degrees.
+    stimulus, converted to degrees; a run steps in the frame that rotates with
+    it (`dynamics` module docstring), where those are the fixed lattice phases.
     """
     if params.detuning != 0:
         # each run's rate comes from `deltas`: effective_config would record a rate never run

@@ -84,4 +84,28 @@ def last_checkpoint(stream):
 
 def velocity(graph: Graph, phases: np.ndarray, kc: float, ks: float, n_phases: int) -> np.ndarray:
     """One undetuned run's phase velocities: minus the gradient of `lyapunov`."""
-    return _rhs_core(phases[:, None], 0.0, _BlockEdges(graph, 1), kc, ks, n_phases, None)[:, 0]
+    return _rhs_core(phases[:, None], _BlockEdges(graph, 1), kc, ks, n_phases, None)[:, 0]
+
+
+def lab_frame_rk4(graph: Graph, init: np.ndarray, params: DynamicsParams, delta: float,
+                  steps: int) -> np.ndarray:
+    """A reference run in the lab frame: `steps` plain RK4 steps of
+    dtheta_i/dt = K_c sum_j sin(theta_i - theta_j) - K_s(t) sin(N theta_i - delta t)
+    from `init`, with the SHIL term rotated at every stage and no wrap."""
+    u, v = graph.edge_arrays()
+    kc, nph, dt = params.coupling_gain, params.n_phases, params.dt
+
+    def f(theta, t):
+        pull = kc * np.sin(theta[u] - theta[v])
+        coupling = np.bincount(u, pull, len(theta)) - np.bincount(v, pull, len(theta))
+        return coupling - params.shil_gain_max * params.envelope(t) * np.sin(nph * theta - delta * t)
+
+    theta = np.array(init, dtype=np.float64)
+    for i in range(steps):
+        t = i * dt
+        k1 = f(theta, t)
+        k2 = f(theta + 0.5 * dt * k1, t + 0.5 * dt)
+        k3 = f(theta + 0.5 * dt * k2, t + 0.5 * dt)
+        k4 = f(theta + dt * k3, t + dt)
+        theta = theta + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return theta

@@ -24,7 +24,7 @@ from pottsim.dynamics import (
 )
 
 from conftest import load_benchmark, random_colorable_graph
-from helpers import last_checkpoint, lattice_phases, run_checkpoints, velocity
+from helpers import lab_frame_rk4, last_checkpoint, lattice_phases, run_checkpoints, velocity
 from strategies import graphs
 
 # chi-square critical value, 35 degrees of freedom, significance 0.01
@@ -143,16 +143,16 @@ class TestRhs:
         graph=graphs(),
         n_phases=st.integers(min_value=2, max_value=8),
         gains=st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 60.0)),
-        t=st.floats(0.0, 10.0),
         detunings=st.lists(st.sampled_from([1e-5, -2.0, 30.0, 300.0, -300.0]),
                            min_size=1, max_size=3),
         data=st.data(),
     )
-    def test_core_matches_the_direct_formula(self, graph, n_phases, gains, t, detunings, data):
+    def test_core_matches_the_direct_formula(self, graph, n_phases, gains, detunings, data):
         # rows of one block, at least one of them undetuned; phases outside
         # [0, 2*pi) as in an RK4 stage state, and at the half-angle
         # tangent's pole pi.  The block runs once with its detunings and
-        # once with none (the undetuned path, detuning=None).
+        # once with none (the undetuned path, drift=None).  In the SHIL
+        # frame a detuned row only drifts by delta / N.
         detunings.insert(data.draw(st.integers(0, len(detunings))), 0.0)
         n, rows = graph.num_vertices, len(detunings)
         phase = st.one_of(st.floats(-20.0, 20.0), st.sampled_from([np.pi, -np.pi, 3 * np.pi]))
@@ -167,16 +167,30 @@ class TestRhs:
             coupling[b] += kc * np.sin(theta[b] - theta[a])
         degree = np.bincount(np.concatenate([u, v]), minlength=n).max(initial=0)
         for deltas in (detunings, [0.0] * rows):
-            rates = np.array(deltas)
-            got = _rhs_core(theta, t, _BlockEdges(graph, rows), kc, ks, n_phases,
-                            rates if any(deltas) else None)
-            want = coupling - ks * np.sin(n_phases * theta - rates * t)
-            assert np.max(np.abs(got - want)) <= 1e-12 * (kc * max(degree, 1) + ks)
+            drift = np.array(deltas) / n_phases
+            got = _rhs_core(theta, _BlockEdges(graph, rows), kc, ks, n_phases,
+                            drift if any(deltas) else None)
+            want = coupling - ks * np.sin(n_phases * theta) - drift
+            scale = kc * max(degree, 1) + ks + np.abs(drift).max()
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale
             # a row has the bits it has alone, whatever rows share its block
-            for r, delta in enumerate(deltas):
-                alone = _rhs_core(theta[:, [r]], t, _BlockEdges(graph, 1), kc, ks, n_phases,
-                                  np.array([delta]) if delta else None)
+            for r, rate in enumerate(drift):
+                alone = _rhs_core(theta[:, [r]], _BlockEdges(graph, 1), kc, ks, n_phases,
+                                  np.array([rate]) if rate else None)
                 assert np.array_equal(got[:, r], alone[:, 0])
+
+    @pytest.mark.parametrize("delta", [0.2, 30.0, -300.0])
+    def test_shil_frame_is_the_lab_frame_rotated(self, delta):
+        # RK4 commutes with phi = theta - delta * t / N: after 200 steps with
+        # the SHIL on, phi + delta * t / N is the lab-frame run mod 2*pi
+        graph = random_colorable_graph(20, 40, seed=5)
+        params = DynamicsParams(t_max=4.0, t_on=0.0, ramp=1.0)
+        init = random_init(20, seed=2)
+        _, last = last_checkpoint(integrate_block(graph, [init], params, [2], [delta]))
+        lab = lab_frame_rk4(graph, init, params, delta, steps=200)
+        assert last.time == pytest.approx(200 * params.dt)
+        shifted = last.phases[0] + delta * last.time / params.n_phases
+        assert np.abs(np.angle(np.exp(1j * (shifted - lab)))).max() <= 1e-9
 
 
 class TestRandomInit:
@@ -337,11 +351,12 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("params", [
         DynamicsParams(noise_amplitude=0.3, t_max=30.0),
-        DynamicsParams(detuning=0.5, t_max=30.0),
+        DynamicsParams(detuning=10.0, t_max=30.0),
     ], ids=["noise", "detuning"])
     def test_rise_check_needs_a_fixed_gradient_flow(self, params):
-        # noise kicks and the rotating lattice each raise the Lyapunov value
-        # of a stable run, so these runs are not checked
+        # noise kicks, and the drift of a row that slips against its rotating
+        # lattice, each raise the Lyapunov value of a stable run, so these
+        # runs are not checked
         graph = random_colorable_graph(20, 40, seed=5)
         cps = run_checkpoints(graph, random_init(20, 1), params, seed=1)
         assert cps.time[-1] == pytest.approx(params.t_max)

@@ -221,18 +221,6 @@ class TestLatticeDeviation:
         assert lattice_deviation(state, 3)[0] == pytest.approx(np.pi / 3)
 
 
-    def test_rotating_lattice_takes_one_offset_per_row(self):
-        # row r sits on the lattice rotated by offsets[r], as a sweep row at delta * t does
-        spins = np.random.default_rng(7).integers(0, 3, size=(4, 10))
-        offsets = np.array([[0.0], [0.7], [-2.5], [40.0]])
-        phases = np.mod((TWO_PI * spins + offsets) / 3, TWO_PI)
-        assert lattice_deviation(phases, 3, offsets).max() <= 1e-12
-        # read against the fixed lattice, the 0.7 row is off by 0.7 / N everywhere
-        assert lattice_deviation(phases[1], 3) == pytest.approx(np.full(10, 0.7 / 3), abs=1e-12)
-        column = np.full((4, 1), 0.7)
-        assert lattice_deviation(phases, 3, 0.7).tobytes() == lattice_deviation(
-            phases, 3, column).tobytes()
-
 # np.mod's edge cases at and beyond the ends of the wrap's fast range
 WRAP_EDGES = [
     0.0, 1e-300, -1e-300, -1e-17, 3.0, np.nextafter(TWO_PI, 0.0), TWO_PI,

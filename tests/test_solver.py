@@ -26,7 +26,7 @@ from pottsim.solver import (
     report_json,
 )
 
-from conftest import random_colorable_graph
+from conftest import load_benchmark, random_colorable_graph
 from helpers import bootstrap_mean_diff, last_checkpoint
 from strategies import graphs
 
@@ -169,7 +169,8 @@ class TestLockstepBlocks:
         assert ends == [end for row in rows for end in run([row])]
 
     def test_diverged_row_fails_by_its_seed(self, k3):
-        # detuning * t overflows to inf near t = 1.06 in the middle row only
+        # the middle row's drift 1.7e308 / 3 overflows to inf in RK4's stage
+        # sum at the first step
         shared = (k3, DynamicsParams(t_max=2.0, t_on=0.0, ramp=0.0))
         rows = [(11, 0.0), (12, 1.7e308), (13, 0.0)]
         with pytest.raises(IntegrationDivergedError, match="seed 12"):
@@ -208,6 +209,19 @@ class TestSolveMulti:
     def test_rejects_zero_iterations(self, k3):
         with pytest.raises(ValueError):
             solve_multi(k3, FAST, iterations=0, base_seed=0)
+
+    def test_detuned_solve_is_read_against_the_rotating_lattice(self):
+        # a detuned run locks to its rotating lattice, so it reads the same
+        # whenever it is read, and it settles there (though it runs to t_max)
+        graph = load_benchmark("flat_200_479-1")
+        reports = [solve_multi(graph, DynamicsParams(detuning=0.2, t_max=t_max), iterations=10,
+                               base_seed=0) for t_max in (40.0, 45.0, 50.0)]
+        accs = [[r.accuracy for r in report.runs] for report in reports]
+        assert accs[0] == accs[1] == accs[2]
+        assert reports[0].avg_accuracy > 0.9
+        for report in reports:
+            assert report.num_converged == 10
+            assert all(DynamicsParams().ramp_end <= r.cycles < 40.0 for r in report.runs)
 
 
 class TestAblate:
